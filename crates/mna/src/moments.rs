@@ -306,11 +306,7 @@ impl<'a> MomentEngine<'a> {
             let sg = SparseMatrix::from_dense(&system.g_tilde);
             let density = sg.nnz() as f64 / (n as f64 * n as f64);
             if density < 0.05 {
-                let order = sg.rcm_ordering().ok().map(|new_of_old| {
-                    let mut cols: Vec<usize> = (0..n).collect();
-                    cols.sort_by_key(|&old| new_of_old[old]);
-                    cols
-                });
+                let order = sg.rcm_column_order().ok();
                 if let Ok(lu) = SparseLu::factor(&sg, order.as_deref()) {
                     return Ok(MomentEngine {
                         system,
@@ -643,23 +639,25 @@ impl<'a> MomentEngine<'a> {
         let sys = self.system;
         let n = sys.num_unknowns();
         let nc = sys.caps.len();
-        // Augmented system: original unknowns + one current per capacitor.
-        let mut a = Matrix::zeros(n + nc, n + nc);
-        for i in 0..n {
-            for j in 0..n {
-                a[(i, j)] = sys.g[(i, j)];
-            }
-        }
+        // Augmented system, assembled once as triplets: original unknowns
+        // + one current per capacitor.
         let mut rhs = sys.b_times(u);
         rhs.resize(n + nc, 0.0);
         // Inductor branches: replace the voltage equation with i = i_L(0).
+        let mut pinned = vec![false; n];
+        let mut triplets = Vec::with_capacity(5 * n + 5 * nc);
         for (ind, &i0) in sys.inductors.iter().zip(&state.inductor_currents) {
-            let m = ind.branch;
-            for j in 0..n + nc {
-                a[(m, j)] = 0.0;
+            pinned[ind.branch] = true;
+            triplets.push((ind.branch, ind.branch, 1.0));
+            rhs[ind.branch] = i0;
+        }
+        for i in (0..n).filter(|&i| !pinned[i]) {
+            for j in 0..n {
+                let v = sys.g[(i, j)];
+                if v != 0.0 {
+                    triplets.push((i, j, v));
+                }
             }
-            a[(m, m)] = 1.0;
-            rhs[m] = i0;
         }
         // Capacitors: add a branch current unknown and pin the voltage
         // (minus an optional ε/C·i series term for loop/floating-node
@@ -674,18 +672,29 @@ impl<'a> MomentEngine<'a> {
         for (k, (cap, &v0)) in sys.caps.iter().zip(&state.cap_voltages).enumerate() {
             let col = n + k;
             if let Some(ia) = cap.ia {
-                a[(ia, col)] += 1.0;
-                a[(col, ia)] += 1.0;
+                triplets.push((ia, col, 1.0));
+                triplets.push((col, ia, 1.0));
             }
             if let Some(ib) = cap.ib {
-                a[(ib, col)] -= 1.0;
-                a[(col, ib)] -= 1.0;
+                triplets.push((ib, col, -1.0));
+                triplets.push((col, ib, -1.0));
             }
-            a[(col, col)] -= eps * c_max / cap.farads;
+            triplets.push((col, col, -(eps * c_max / cap.farads)));
             rhs[col] = v0;
         }
-        let lu = Lu::factor(&a)?;
-        let mut x = lu.solve(&rhs)?;
+        let mut a = SparseMatrix::from_triplets(n + nc, n + nc, &triplets);
+        // Kernel choice only, by the rule `with_pattern` applies: below the
+        // threshold dense LU factors the same assembly. The sparse kernel
+        // equilibrates rows first, so its threshold pivoting weighs the
+        // unit-scale constraint rows against the conductance rows fairly.
+        let mut x = if n >= SPARSE_THRESHOLD {
+            for (r, s) in rhs.iter_mut().zip(&a.equilibrate_rows()) {
+                *r *= s;
+            }
+            SparseLu::factor(&a, a.rcm_column_order().ok().as_deref())?.solve(&rhs)?
+        } else {
+            Lu::factor(&a.to_dense())?.solve(&rhs)?
+        };
         x.truncate(n);
         Ok(x)
     }

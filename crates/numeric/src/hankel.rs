@@ -33,7 +33,7 @@ use crate::poly::Polynomial;
 /// The nearest power of two below `v`'s magnitude, inverted — the exact
 /// scale that brings a row or column of inf-norm `v` to `[1, 2)`.
 /// Returns `1.0` for zero or non-finite norms.
-fn pow2_scale(v: f64) -> f64 {
+pub(crate) fn pow2_scale(v: f64) -> f64 {
     if v > 0.0 && v.is_finite() {
         (-v.log2().floor()).exp2()
     } else {

@@ -333,6 +333,46 @@ impl SparseMatrix {
         }
         Ok(new_of_old)
     }
+
+    /// Scales every row to an inf-norm in `[1, 2)` by an exact power of
+    /// two, in place, and returns the scales.
+    ///
+    /// Power-of-two scaling rounds nothing: a factorization of the scaled
+    /// matrix under a given pivot sequence is exactly the row-scaled
+    /// factorization of the original, so solving with the scaled
+    /// right-hand side `scales[i]·b[i]` returns the very same solution.
+    /// What changes is the pivot *choice*: threshold pivoting then weighs
+    /// candidates of differently scaled rows on a common footing (scaled
+    /// partial pivoting). Zero rows keep a scale of `1`.
+    pub fn equilibrate_rows(&mut self) -> Vec<f64> {
+        let mut scales = vec![0.0f64; self.rows];
+        for (&i, &v) in self.row_idx.iter().zip(&self.values) {
+            scales[i] = scales[i].max(v.abs());
+        }
+        for s in &mut scales {
+            *s = crate::hankel::pow2_scale(*s);
+        }
+        for (&i, v) in self.row_idx.iter().zip(&mut self.values) {
+            *v *= scales[i];
+        }
+        scales
+    }
+
+    /// The RCM ordering as a column elimination order for
+    /// [`crate::SparseLu::factor`]: `order[k]` is the original column
+    /// eliminated `k`-th (the inverse of [`SparseMatrix::rcm_ordering`]).
+    ///
+    /// # Errors
+    ///
+    /// [`NumericError::NotSquare`] for non-square matrices.
+    pub fn rcm_column_order(&self) -> Result<Vec<usize>, NumericError> {
+        let new_of_old = self.rcm_ordering()?;
+        let mut order = vec![0usize; new_of_old.len()];
+        for (old, &new) in new_of_old.iter().enumerate() {
+            order[new] = old;
+        }
+        Ok(order)
+    }
 }
 
 /// One FNV-1a step over the eight bytes of `v`.
@@ -509,5 +549,51 @@ mod tests {
         let mut sorted = perm.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3]);
+        let order = s.rcm_column_order().unwrap();
+        for (old, &new) in perm.iter().enumerate() {
+            assert_eq!(order[new], old);
+        }
+    }
+
+    #[test]
+    fn row_equilibration_is_exact_under_a_fixed_pivot_sequence() {
+        use crate::SparseLu;
+        // An MNA-like system: a huge `k·C` diagonal next to a unit-scale
+        // voltage-source row.
+        let a = SparseMatrix::from_triplets(
+            3,
+            3,
+            &[
+                (0, 0, 3.0),
+                (0, 1, -3.0),
+                (0, 2, 1.0),
+                (1, 0, -3.0),
+                (1, 1, 8.6e15),
+                (2, 0, 1.0),
+            ],
+        );
+        let mut scaled = a.clone();
+        let scales = scaled.equilibrate_rows();
+        let mut norms = [0.0f64; 3];
+        for ((&v, &orig), &i) in scaled.values.iter().zip(&a.values).zip(&a.row_idx) {
+            assert_eq!(v, orig * scales[i]);
+            norms[i] = norms[i].max(v.abs());
+        }
+        for (&sc, &norm) in scales.iter().zip(&norms) {
+            assert_eq!(sc, sc.log2().round().exp2(), "{sc} is not a power of two");
+            assert!((1.0..2.0).contains(&norm), "row norm {norm}");
+        }
+        // Same pivot sequence, scaled right-hand side: the same solution,
+        // bit for bit.
+        let b = [0.7, -1.3, 2.9];
+        let lu = SparseLu::factor(&a, None).unwrap();
+        let lu_scaled = SparseLu::refactor(lu.symbolic(), &scaled).unwrap();
+        let b_scaled: Vec<f64> = b.iter().zip(&scales).map(|(v, s)| v * s).collect();
+        let x = lu.solve(&b).unwrap();
+        let x_scaled = lu_scaled.solve(&b_scaled).unwrap();
+        assert_eq!(
+            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            x_scaled.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 }

@@ -10,7 +10,7 @@ use awe_numeric::NumericError;
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum SimError {
-    /// MNA-level failure (assembly, DC solve, singular implicit matrix).
+    /// MNA-level failure (assembly, DC or `t = 0⁺` solve).
     Mna(MnaError),
     /// Numeric failure (eigenvalue iteration, …).
     Numeric(NumericError),
@@ -24,6 +24,13 @@ pub enum SimError {
         /// Simulation time at which the step collapsed.
         at: f64,
     },
+    /// The implicit matrix `G + k·C` of a step is singular.
+    SingularStep {
+        /// Start time of the step.
+        t: f64,
+        /// Step size whose matrix failed to factor.
+        h: f64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -36,6 +43,12 @@ impl fmt::Display for SimError {
             }
             SimError::StepUnderflow { at } => {
                 write!(f, "step size underflowed at t = {at}")
+            }
+            SimError::SingularStep { t, h } => {
+                write!(
+                    f,
+                    "implicit step matrix is singular for the step at t = {t}, h = {h}"
+                )
             }
         }
     }

@@ -7,6 +7,14 @@
 //! the "actual" columns of Tables I and II, and waveform comparison
 //! metrics.
 //!
+//! The simulator runs on the same CSC / sparse-LU substrate as the
+//! moment engine: one symbolic factorization per run, a numeric refactor
+//! per step size, and sparse products and solves per step, so it can
+//! check AWE on the power-grid meshes the corner sweep analyses.
+//! [`TransientResult::stats`] records how a run was produced (accepted
+//! and rejected steps, symbolic factors, refactors, fallbacks), and an
+//! `awe-obs` recording sees each run as one `sim.simulate` span.
+//!
 //! ## Example
 //!
 //! ```
@@ -39,4 +47,4 @@ mod transient;
 pub use compare::{max_abs_vs_sim, relative_l2_vs_sim, CompareError};
 pub use error::SimError;
 pub use poles::exact_poles;
-pub use transient::{simulate, Method, TransientOptions, TransientResult};
+pub use transient::{simulate, Method, TransientOptions, TransientResult, TransientStats};

@@ -4,12 +4,30 @@
 //! (DESIGN.md §4): for *linear* circuits, trapezoidal integration of the
 //! MNA descriptor system is exactly the algorithm SPICE applies, so a
 //! tight-tolerance run here is a faithful "exact" waveform. Adaptive step
-//! doubling controls the local truncation error; the implicit system
-//! matrix `G + (2/h)·C` is LU-factored once per step size and reused.
+//! doubling controls the local truncation error.
+//!
+//! The linear algebra runs on the CSC / sparse-LU substrate the moment
+//! engine uses. `G` and `C` are read as CSC once per run, and the pattern
+//! of the implicit matrix `A = G + k·C` (`k = 2/h`, or `1/h` for backward
+//! Euler) is built once as the union of the two. The first `A` pays the
+//! only symbolic analysis, under an RCM column order; every later step
+//! size refills the values and replays that analysis through
+//! [`SparseLu::refactor`], falling back to a fresh factor only when the
+//! pivot guard rejects the stored pivot order. Each step is then two
+//! sparse products and one sparse solve.
+//!
+//! Rows of every `A` are equilibrated by exact powers of two before it is
+//! factored. That rounds nothing, but it lets threshold pivoting choose a
+//! unit-scale source row over a conductance row carrying a huge `k·C`:
+//! without it, the source voltage picks up rounding noise at tiny steps
+//! that the LTE controller mistakes for truncation error, collapsing the
+//! step size until the step budget runs out — even on a single RC.
+
+use std::sync::Arc;
 
 use awe_circuit::{Circuit, NodeId};
 use awe_mna::{MnaSystem, MomentEngine};
-use awe_numeric::Lu;
+use awe_numeric::{LuSymbolic, NumericError, SolveScratch, SparseLu, SparseMatrix};
 
 use crate::error::SimError;
 
@@ -49,6 +67,24 @@ impl TransientOptions {
     }
 }
 
+/// How a transient run was produced: the step controller's decisions and
+/// the factorization work they cost.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TransientStats {
+    /// Steps the LTE controller accepted.
+    pub accepted_steps: usize,
+    /// Steps the LTE controller rejected and retried at half the size.
+    pub rejected_steps: usize,
+    /// Full symbolic + numeric factorizations of `G + k·C`, fallbacks
+    /// included.
+    pub symbolic_factors: usize,
+    /// Numeric refactorizations against the stored symbolic analysis.
+    pub refactors: usize,
+    /// Fresh factorizations forced by a refactor the pivot guard
+    /// rejected (each is also counted in `symbolic_factors`).
+    pub fallbacks: usize,
+}
+
 /// Result of a transient run: time points and all node voltages.
 #[derive(Clone, Debug)]
 pub struct TransientResult {
@@ -56,9 +92,15 @@ pub struct TransientResult {
     /// `values[k][node]` = voltage of `node` at `times[k]` (ground
     /// included, always 0).
     values: Vec<Vec<f64>>,
+    stats: TransientStats,
 }
 
 impl TransientResult {
+    /// Step and factorization counts of the run.
+    pub fn stats(&self) -> &TransientStats {
+        &self.stats
+    }
+
     /// The accepted time points.
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -160,10 +202,13 @@ impl TransientResult {
 /// # Errors
 ///
 /// * [`SimError::Mna`] for assembly/DC failures (no DC solution, …).
+/// * [`SimError::SingularStep`] if the implicit matrix of a step is
+///   singular.
 /// * [`SimError::StepLimit`] if the step budget is exhausted.
 /// * [`SimError::StepUnderflow`] if LTE control drives the step below
 ///   `~1e-18·t_stop` (a pathological circuit).
 pub fn simulate(circuit: &Circuit, options: TransientOptions) -> Result<TransientResult, SimError> {
+    let mut span = awe_obs::span("sim.simulate");
     let sys = MnaSystem::build(circuit)?;
     let engine = MomentEngine::new(&sys)?;
     let state = engine.initial_state()?;
@@ -201,7 +246,7 @@ pub fn simulate(circuit: &Circuit, options: TransientOptions) -> Result<Transien
     let mut h = options.t_stop / 1e4;
     let h_min = options.t_stop * 1e-18;
     let mut steps = 0usize;
-    let mut cache: StepCache = StepCache::new();
+    let mut stepper = Stepper::new(&sys, options.method);
 
     let mut bp_iter = breakpoints.into_iter();
     let mut next_bp = bp_iter.next().unwrap_or(options.t_stop);
@@ -217,16 +262,9 @@ pub fn simulate(circuit: &Circuit, options: TransientOptions) -> Result<Transien
         let h_eff = h.min(next_bp - t).max(h_min);
 
         // One full step vs two half steps for LTE estimation.
-        let x_full = step(&sys, &mut cache, options.method, &x, t, h_eff)?;
-        let x_half = step(&sys, &mut cache, options.method, &x, t, h_eff / 2.0)?;
-        let x_two = step(
-            &sys,
-            &mut cache,
-            options.method,
-            &x_half,
-            t + h_eff / 2.0,
-            h_eff / 2.0,
-        )?;
+        let x_full = stepper.step(&x, t, h_eff)?;
+        let x_half = stepper.step(&x, t, h_eff / 2.0)?;
+        let x_two = stepper.step(&x_half, t + h_eff / 2.0, h_eff / 2.0)?;
 
         // LTE estimate: difference between the two solutions.
         let mut err = 0.0f64;
@@ -239,6 +277,7 @@ pub fn simulate(circuit: &Circuit, options: TransientOptions) -> Result<Transien
 
         if rel > options.tol && h_eff > h_min * 2.0 {
             // Reject and retry with half the step.
+            stepper.stats.rejected_steps += 1;
             h = (h_eff / 2.0).max(h_min);
             if h <= h_min {
                 return Err(SimError::StepUnderflow { at: t });
@@ -247,6 +286,7 @@ pub fn simulate(circuit: &Circuit, options: TransientOptions) -> Result<Transien
         }
 
         // Accept (use the more accurate two-half-steps solution).
+        stepper.stats.accepted_steps += 1;
         t += h_eff;
         x = x_two;
         times.push(t);
@@ -263,75 +303,207 @@ pub fn simulate(circuit: &Circuit, options: TransientOptions) -> Result<Transien
         }
     }
 
-    Ok(TransientResult { times, values })
+    let stats = stepper.stats;
+    span.note(n as f64, stats.accepted_steps as f64);
+    Ok(TransientResult {
+        times,
+        values,
+        stats,
+    })
 }
 
-/// Cached implicit-matrix factorizations keyed by step size.
-struct StepCache {
-    entries: Vec<(f64, Method, Lu)>,
+/// `A = G + k·C` on the union of the two CSC patterns. The pattern is
+/// built once per run; a new `k` only refills the values through the
+/// per-entry slot maps, so every `A` shares one sparsity pattern (the
+/// precondition for [`SparseLu::refactor`]) and equals the dense
+/// `G + k·C` element for element.
+struct StepMatrix {
+    g: SparseMatrix,
+    c: SparseMatrix,
+    a: SparseMatrix,
+    /// `a`'s storage slot of each stored entry of `g`, in CSC order.
+    g_slots: Vec<usize>,
+    /// `a`'s storage slot of each stored entry of `c`, in CSC order.
+    c_slots: Vec<usize>,
 }
 
-impl StepCache {
-    fn new() -> Self {
-        StepCache {
-            entries: Vec::new(),
+impl StepMatrix {
+    fn new(sys: &MnaSystem) -> Self {
+        let g = SparseMatrix::from_dense(&sys.g);
+        let c = SparseMatrix::from_dense(&sys.c);
+        let n = g.cols();
+        let coords = |m: &SparseMatrix| -> Vec<(usize, usize)> {
+            (0..n)
+                .flat_map(|j| m.col(j).0.iter().map(move |&i| (i, j)))
+                .collect()
+        };
+        let (g_at, c_at) = (coords(&g), coords(&c));
+        let union: Vec<_> = g_at
+            .iter()
+            .chain(&c_at)
+            .map(|&(i, j)| (i, j, 1.0))
+            .collect();
+        let a = SparseMatrix::from_triplets(n, n, &union);
+        let slots = |at: &[(usize, usize)]| -> Vec<usize> {
+            at.iter()
+                .map(|&(i, j)| a.slot_of(i, j).expect("entry lies in the union pattern"))
+                .collect()
+        };
+        let (g_slots, c_slots) = (slots(&g_at), slots(&c_at));
+        StepMatrix {
+            g,
+            c,
+            a,
+            g_slots,
+            c_slots,
         }
     }
 
-    fn factor(&mut self, sys: &MnaSystem, method: Method, h: f64) -> Result<&Lu, SimError> {
-        if let Some(pos) = self
-            .entries
-            .iter()
-            .position(|(hh, mm, _)| *hh == h && *mm == method)
-        {
-            return Ok(&self.entries[pos].2);
+    /// Refills `A` for the coefficient `k`, with its rows equilibrated
+    /// by exact powers of two; returns `A` and the row scales.
+    fn fill(&mut self, k: f64) -> (&SparseMatrix, Vec<f64>) {
+        let vals = self.a.values_mut();
+        vals.fill(0.0);
+        for (&slot, &v) in self.g_slots.iter().zip(self.g.values()) {
+            vals[slot] += v;
         }
-        let k = match method {
+        for (&slot, &v) in self.c_slots.iter().zip(self.c.values()) {
+            vals[slot] += k * v;
+        }
+        let row_scales = self.a.equilibrate_rows();
+        (&self.a, row_scales)
+    }
+}
+
+/// Numeric factors kept per step size: the controller alternates between
+/// `h` and `h/2` and revisits sizes as it grows and shrinks the step.
+const CACHED_FACTORS: usize = 8;
+
+/// The factors of one step size's `A`, row-equilibrated.
+struct StepFactor {
+    h: f64,
+    lu: SparseLu,
+    /// Power-of-two row scales the factored matrix carries: a step's
+    /// right-hand side is scaled by them before the solve.
+    row_scales: Vec<f64>,
+}
+
+/// The implicit integrator: the step matrix, its factors per step size
+/// (one shared symbolic analysis), and the per-step buffers.
+struct Stepper<'a> {
+    sys: &'a MnaSystem,
+    method: Method,
+    matrix: StepMatrix,
+    /// RCM column order of the union pattern, for every fresh factor.
+    order: Option<Vec<usize>>,
+    /// The analysis refactors replay; replaced by a fallback's.
+    symbolic: Option<Arc<LuSymbolic>>,
+    factors: Vec<StepFactor>,
+    scratch: SolveScratch,
+    rhs: Vec<f64>,
+    bu: Vec<f64>,
+    gx: Vec<f64>,
+    cx: Vec<f64>,
+    stats: TransientStats,
+}
+
+impl<'a> Stepper<'a> {
+    fn new(sys: &'a MnaSystem, method: Method) -> Self {
+        let matrix = StepMatrix::new(sys);
+        let order = matrix.a.rcm_column_order().ok();
+        Stepper {
+            sys,
+            method,
+            matrix,
+            order,
+            symbolic: None,
+            factors: Vec::new(),
+            scratch: SolveScratch::new(),
+            rhs: Vec::new(),
+            bu: Vec::new(),
+            gx: Vec::new(),
+            cx: Vec::new(),
+            stats: TransientStats::default(),
+        }
+    }
+
+    /// Index into `factors` of the factorization for step size `h`,
+    /// refactoring (or, past a pivot-guard rejection, freshly factoring)
+    /// on a miss. `t` only labels a singular-step error.
+    fn factor(&mut self, t: f64, h: f64) -> Result<usize, SimError> {
+        if let Some(pos) = self.factors.iter().position(|f| f.h == h) {
+            return Ok(pos);
+        }
+        let k = match self.method {
             Method::Trapezoidal => 2.0 / h,
             Method::BackwardEuler => 1.0 / h,
         };
-        let a = &sys.g + &sys.c.scaled(k);
-        let lu = Lu::factor(&a).map_err(awe_mna::MnaError::from)?;
-        if self.entries.len() >= 8 {
-            self.entries.remove(0);
+        let (a, row_scales) = self.matrix.fill(k);
+        let lu = match self.symbolic.as_ref().map(|sym| SparseLu::refactor(sym, a)) {
+            Some(Ok(lu)) => {
+                self.stats.refactors += 1;
+                lu
+            }
+            // No analysis yet, or the pivot guard rejected the stored
+            // pivot order for these values: analyse afresh.
+            first_or_rejected @ (None | Some(Err(NumericError::Singular { .. }))) => {
+                self.stats.fallbacks += usize::from(first_or_rejected.is_some());
+                let lu =
+                    SparseLu::factor(a, self.order.as_deref()).map_err(|e| step_error(e, t, h))?;
+                self.stats.symbolic_factors += 1;
+                self.symbolic = Some(Arc::clone(lu.symbolic()));
+                lu
+            }
+            Some(Err(e)) => return Err(step_error(e, t, h)),
+        };
+        if self.factors.len() >= CACHED_FACTORS {
+            self.factors.remove(0);
         }
-        self.entries.push((h, method, lu));
-        Ok(&self.entries.last().expect("just pushed").2)
+        self.factors.push(StepFactor { h, lu, row_scales });
+        Ok(self.factors.len() - 1)
+    }
+
+    /// One implicit integration step from `(t, x)` over `h`.
+    fn step(&mut self, x: &[f64], t: f64, h: f64) -> Result<Vec<f64>, SimError> {
+        let sys = self.sys;
+        sys.b_times_into(&sys.source_values_at(t + h), &mut self.rhs);
+        self.matrix.c.mul_vec_into(x, &mut self.cx);
+        match self.method {
+            Method::Trapezoidal => {
+                // (G + 2C/h)x₊ = B u₊ + (2/h)C x + (B u − G x).
+                sys.b_times_into(&sys.source_values_at(t), &mut self.bu);
+                self.matrix.g.mul_vec_into(x, &mut self.gx);
+                for i in 0..self.rhs.len() {
+                    self.rhs[i] += 2.0 / h * self.cx[i] + self.bu[i] - self.gx[i];
+                }
+            }
+            Method::BackwardEuler => {
+                // (G + C/h)x₊ = B u₊ + (1/h)C x.
+                for (r, cx) in self.rhs.iter_mut().zip(&self.cx) {
+                    *r += cx / h;
+                }
+            }
+        }
+        let pos = self.factor(t, h)?;
+        let factor = &self.factors[pos];
+        for (r, s) in self.rhs.iter_mut().zip(&factor.row_scales) {
+            *r *= s;
+        }
+        let mut out = Vec::with_capacity(self.rhs.len());
+        factor
+            .lu
+            .solve_into(&self.rhs, &mut self.scratch, &mut out)?;
+        Ok(out)
     }
 }
 
-/// One implicit integration step from `(t, x)` over `h`.
-fn step(
-    sys: &MnaSystem,
-    cache: &mut StepCache,
-    method: Method,
-    x: &[f64],
-    t: f64,
-    h: f64,
-) -> Result<Vec<f64>, SimError> {
-    let u_next = sys.source_values_at(t + h);
-    let mut rhs = sys.b_times(&u_next);
-    match method {
-        Method::Trapezoidal => {
-            // (G + 2C/h)x₊ = B u₊ + (2/h)C x + (B u − G x).
-            let cx = sys.c_times(x);
-            let u_now = sys.source_values_at(t);
-            let bu = sys.b_times(&u_now);
-            let gx = sys.g.mul_vec(x);
-            for i in 0..rhs.len() {
-                rhs[i] += 2.0 / h * cx[i] + bu[i] - gx[i];
-            }
-        }
-        Method::BackwardEuler => {
-            // (G + C/h)x₊ = B u₊ + (1/h)C x.
-            let cx = sys.c_times(x);
-            for i in 0..rhs.len() {
-                rhs[i] += cx[i] / h;
-            }
-        }
+/// A failed factorization of a step's implicit matrix: a singular one
+/// names the step, anything else is a plain numeric failure.
+fn step_error(e: NumericError, t: f64, h: f64) -> SimError {
+    match e {
+        NumericError::Singular { .. } => SimError::SingularStep { t, h },
+        other => SimError::Numeric(other),
     }
-    let lu = cache.factor(sys, method, h)?;
-    Ok(lu.solve(&rhs).map_err(awe_mna::MnaError::from)?)
 }
 
 #[cfg(test)]
@@ -457,6 +629,50 @@ mod tests {
         assert_eq!(res.value_at(n1, 1.0), last);
         assert!(!res.is_empty());
         assert!(res.waveform(n1).len() == res.len());
+    }
+
+    #[test]
+    fn singular_step_factor_is_a_typed_step_error() {
+        let e = step_error(NumericError::Singular { pivot: 3 }, 2e-9, 5e-12);
+        assert_eq!(e, SimError::SingularStep { t: 2e-9, h: 5e-12 });
+        let text = e.to_string();
+        assert!(text.contains("t = 0.000000002") && text.contains("h = 0.000000000005"));
+        assert!(!text.contains("DC"), "{text}");
+        let other = NumericError::NotSquare { rows: 2, cols: 3 };
+        assert_eq!(
+            step_error(other.clone(), 0.0, 1.0),
+            SimError::Numeric(other)
+        );
+    }
+
+    #[test]
+    fn pdn_run_pays_one_symbolic_factor() {
+        use awe_circuit::pdn::{pdn_grid, PdnSpec};
+        let pdn = pdn_grid(&PdnSpec::square(20));
+        let res = simulate(&pdn.circuit, TransientOptions::new(1.5e-9)).unwrap();
+        let stats = res.stats();
+        assert_eq!(stats.symbolic_factors, 1, "{stats:?}");
+        assert_eq!(stats.fallbacks, 0, "{stats:?}");
+        assert!(stats.refactors > 0, "{stats:?}");
+        assert!(stats.rejected_steps > 0, "{stats:?}");
+        assert_eq!(stats.accepted_steps, res.len() - 1);
+        assert!(res.delay_50(pdn.taps[0]).is_some());
+    }
+
+    #[test]
+    fn source_rows_stay_exact_at_tiny_steps() {
+        // A femtosecond RC under a pulse (fuzz seed 0, rc-tree case 12):
+        // without row equilibration the pivot order let rounding noise
+        // into `v(in)`, and the LTE controller shrank the step below the
+        // resolution of `t` until the 2M-step budget ran out.
+        let ckt = awe_circuit::parse_deck(
+            "V1 in 0 PWL(0 0 6.920238987346746e-16 3.3 1.233918939235337e-14 3.3 \
+             1.3031213291088044e-14 0)\nR1 in n1 0.2974745928060317\n\
+             C1 n1 0 2.6233248931024824e-14\n.end\n",
+        )
+        .unwrap();
+        let res = simulate(&ckt, TransientOptions::new(1.0667591381591859e-13)).unwrap();
+        assert!(res.len() < 5_000, "{:?}", res.stats());
     }
 
     #[test]

@@ -8,12 +8,15 @@
 //! spanning six decades) and source waveform, which together cover the
 //! regimes the paper calls out: stiff RC trees (§3.5), resistor-loop
 //! meshes (§2.3), underdamped RLC ladders (§5) and floating coupling
-//! capacitors (§5.3).
+//! capacitors (§5.3). An opt-in power-grid class (`pdn`) checks the
+//! engine on the mesh sizes the corner sweep runs, against the sparse
+//! reference simulator.
 
 use std::fmt;
 use std::str::FromStr;
 
 use awe_circuit::generators::{coupled_rc_lines, random_rc_tree, rc_mesh, rlc_ladder};
+use awe_circuit::pdn::{pdn_grid, PdnSpec};
 use awe_circuit::{Circuit, NodeId, Waveform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,10 +34,15 @@ pub enum TopologyClass {
     /// Two RC lines with floating coupling capacitors
     /// (`coupled_rc_lines`).
     CoupledLines,
+    /// Power-grid mesh with a strap layer (`circuit::pdn::pdn_grid`),
+    /// 4×4 to 16×16, step-driven. Opt-in: not in [`TopologyClass::ALL`],
+    /// so the default campaign and its corpus stay as they are.
+    Pdn,
 }
 
 impl TopologyClass {
-    /// All classes, in the order the campaign cycles through them.
+    /// The default classes, in the order the campaign cycles through
+    /// them. [`TopologyClass::Pdn`] runs only when selected by name.
     pub const ALL: [TopologyClass; 4] = [
         TopologyClass::RcTree,
         TopologyClass::RcMesh,
@@ -43,13 +51,14 @@ impl TopologyClass {
     ];
 
     /// The CLI / report name (`rc-tree`, `rc-mesh`, `rlc-ladder`,
-    /// `coupled-lines`).
+    /// `coupled-lines`, `pdn`).
     pub fn name(&self) -> &'static str {
         match self {
             TopologyClass::RcTree => "rc-tree",
             TopologyClass::RcMesh => "rc-mesh",
             TopologyClass::RlcLadder => "rlc-ladder",
             TopologyClass::CoupledLines => "coupled-lines",
+            TopologyClass::Pdn => "pdn",
         }
     }
 }
@@ -69,8 +78,10 @@ impl FromStr for TopologyClass {
             "rc-mesh" => Ok(TopologyClass::RcMesh),
             "rlc-ladder" => Ok(TopologyClass::RlcLadder),
             "coupled-lines" => Ok(TopologyClass::CoupledLines),
+            "pdn" => Ok(TopologyClass::Pdn),
             other => Err(format!(
-                "unknown class `{other}` (expected rc-tree, rc-mesh, rlc-ladder or coupled-lines)"
+                "unknown class `{other}` (expected rc-tree, rc-mesh, rlc-ladder, coupled-lines \
+                 or pdn)"
             )),
         }
     }
@@ -125,7 +136,7 @@ pub struct CaseParams {
     /// Structural seed (drives `random_rc_tree`'s shape and values).
     pub seed: u64,
     /// Size knob: capacitive nodes (tree), grid cells (mesh), sections
-    /// (ladder) or segments per line (coupled).
+    /// (ladder), segments per line (coupled) or mesh side (pdn).
     pub size: usize,
     /// Resistance range, log-uniform; `r_lo` may be near-degenerate
     /// (`≪ 1 Ω`).
@@ -161,6 +172,7 @@ impl CaseParams {
             TopologyClass::RcMesh => rng.gen_range(1..=12usize),
             TopologyClass::RlcLadder => rng.gen_range(1..=6usize),
             TopologyClass::CoupledLines => rng.gen_range(1..=5usize),
+            TopologyClass::Pdn => rng.gen_range(4..=16usize),
         };
 
         // Element values: log-uniform centers with a log-uniform spread.
@@ -193,6 +205,12 @@ impl CaseParams {
                 width_ratio: log_uniform(&mut rng, 1.0, 10.0),
             },
         };
+        // A supply grid is driven by the pad's step.
+        let wave = if class == TopologyClass::Pdn {
+            WaveKind::Step
+        } else {
+            wave
+        };
 
         CaseParams {
             class,
@@ -218,10 +236,16 @@ impl CaseParams {
         let c = geo_mean(self.c_lo, self.c_hi);
         let n = self.size as f64;
         match self.class {
-            TopologyClass::RcTree | TopologyClass::RcMesh => r * c * n,
+            TopologyClass::RcTree | TopologyClass::RcMesh | TopologyClass::Pdn => r * c * n,
             TopologyClass::RlcLadder => self.rs * c * n + n * (self.l * c).sqrt(),
             TopologyClass::CoupledLines => r * c * (1.0 + self.coupling_ratio) * n,
         }
+    }
+
+    /// Strap pitch of a `pdn` case, 2 to 5 mesh nodes, drawn from the
+    /// structural seed so minimization keeps it.
+    pub fn strap_pitch(&self) -> usize {
+        2 + (self.seed % 4) as usize
     }
 
     /// The stimulus waveform this case drives its input with.
@@ -251,6 +275,28 @@ impl CaseParams {
         let r = geo_mean(self.r_lo, self.r_hi);
         let c = geo_mean(self.c_lo, self.c_hi);
         let g = match self.class {
+            TopologyClass::Pdn => {
+                // The generator's value ratios (straps 10×, vias 5×, pad
+                // 2× stronger than a segment) around the case's values.
+                let side = self.size.max(2);
+                let pdn = pdn_grid(&PdnSpec {
+                    nx: side,
+                    ny: side,
+                    strap_pitch: self.strap_pitch(),
+                    r_seg: r,
+                    r_strap: r / 10.0,
+                    r_via: r / 5.0,
+                    r_pad: r / 2.0,
+                    c_node: c,
+                    vdd: self.vdd,
+                    taps: 1,
+                });
+                return FuzzCase {
+                    params: *self,
+                    circuit: pdn.circuit,
+                    output: pdn.taps[0],
+                };
+            }
             TopologyClass::RcTree => random_rc_tree(
                 self.size,
                 (self.r_lo, self.r_hi),
@@ -371,7 +417,26 @@ mod tests {
     }
 
     #[test]
+    fn pdn_cases_are_step_driven_grids_in_range() {
+        for i in 0..40 {
+            let p = CaseParams::generate(TopologyClass::Pdn, 0, i);
+            assert!((4..=16).contains(&p.size), "size {}", p.size);
+            assert!((2..=5).contains(&p.strap_pitch()));
+            assert_eq!(p.wave, WaveKind::Step);
+            let case = p.build();
+            let mesh = p.size * p.size;
+            assert!(case.circuit.num_nodes() > mesh, "mesh plus straps");
+            assert_eq!(
+                case.circuit.node_name(case.output),
+                format!("p{0}_{0}", p.size - 1)
+            );
+        }
+    }
+
+    #[test]
     fn class_round_trips_through_str() {
+        assert!(!TopologyClass::ALL.contains(&TopologyClass::Pdn));
+        assert_eq!("pdn".parse::<TopologyClass>(), Ok(TopologyClass::Pdn));
         for class in TopologyClass::ALL {
             assert_eq!(class.name().parse::<TopologyClass>().unwrap(), class);
         }

@@ -395,7 +395,7 @@ impl Artifacts {
         //    — a self-reported inaccuracy is an explained one.
         let base = match self.class {
             TopologyClass::RcTree => 0.02,
-            TopologyClass::RcMesh => 0.03,
+            TopologyClass::RcMesh | TopologyClass::Pdn => 0.03,
             TopologyClass::CoupledLines => 0.05,
             TopologyClass::RlcLadder => 0.08,
         };
@@ -409,7 +409,7 @@ impl Artifacts {
         let allowance = match (truncated, self.class) {
             (false, _) => 0.0,
             (true, TopologyClass::RcTree) => 0.05,
-            (true, TopologyClass::RcMesh) => 0.12,
+            (true, TopologyClass::RcMesh | TopologyClass::Pdn) => 0.12,
             (true, TopologyClass::CoupledLines) => 0.12,
             (true, TopologyClass::RlcLadder) => 0.50,
         };
@@ -636,14 +636,7 @@ impl Artifacts {
 
         let dense = Lu::factor(&a).and_then(|lu| lu.solve(&b));
         let sm = SparseMatrix::from_dense(&a);
-        let order = match sm.rcm_ordering() {
-            Ok(new_of_old) => {
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by_key(|&old| new_of_old[old]);
-                Some(order)
-            }
-            Err(_) => None,
-        };
+        let order = sm.rcm_column_order().ok();
         let sparse = SparseLu::factor(&sm, order.as_deref()).and_then(|lu| lu.solve(&b));
 
         match (dense, sparse) {
@@ -958,7 +951,7 @@ impl Artifacts {
         let claimed = claimed_full + red.error_estimate.unwrap_or(0.0);
         let base: f64 = match self.class {
             TopologyClass::RcTree => 0.05,
-            TopologyClass::RcMesh => 0.06,
+            TopologyClass::RcMesh | TopologyClass::Pdn => 0.06,
             TopologyClass::CoupledLines => 0.08,
             TopologyClass::RlcLadder => 0.10,
         };

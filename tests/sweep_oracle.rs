@@ -9,9 +9,11 @@ use awesim::sim::{simulate, TransientOptions};
 
 #[test]
 fn worst_corner_delay_matches_trapezoidal_sim() {
-    // Small mesh so the dense transient simulation stays tractable;
-    // enough corners for the worst one to be a genuine extreme draw.
-    let pdn = PdnSpec::square(10);
+    // The benchmark's oracle mesh (20×20, above the sparse threshold):
+    // the sparse reference simulator checks the sweep at the size the
+    // sweep runs its sparse path. Enough corners for the worst one to be
+    // a genuine extreme draw.
+    let pdn = PdnSpec::square(20);
     let base = pdn_design("oracle", &pdn);
     let spec = CornerSpec::new(12, 0.08, 2026);
     let run = sweep(
