@@ -26,8 +26,12 @@ use crate::engine::{BatchRun, CALLER_WORKER};
 pub struct RunMetrics {
     /// Net count.
     pub nets: usize,
-    /// AWE solves performed (cache misses).
+    /// AWE solves performed: one per distinct solve circuit among the
+    /// cache misses.
     pub solves: usize,
+    /// Nets served from a sibling's decomposition (same solve circuit,
+    /// another observation node).
+    pub shared: usize,
     /// Results served from the cache.
     pub cache_hits: usize,
     /// Solves that reused a cached symbolic LU pattern (numeric
@@ -105,6 +109,7 @@ impl RunMetrics {
         RunMetrics {
             nets: run.results.len(),
             solves: run.solves,
+            shared: run.shared,
             cache_hits: run.cache_hits,
             pattern_hits: run.pattern_hits,
             tapes_compiled: run.tapes_compiled,

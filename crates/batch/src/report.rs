@@ -42,6 +42,7 @@ pub fn text_report(run: &BatchRun, include_timings: bool) -> String {
         m.escalated,
         m.rescued
     );
+    let _ = writeln!(out, "shared {}", m.shared);
     if let Some(worst) = m.worst_error {
         let _ = writeln!(out, "worst error estimate {}", sci(worst));
     }
@@ -128,6 +129,7 @@ pub fn json_report(run: &BatchRun, include_timings: bool) -> String {
     let _ = writeln!(out, "  \"design\": {},", json_str(&run.design));
     let _ = writeln!(out, "  \"nets\": {},", m.nets);
     let _ = writeln!(out, "  \"solves\": {},", m.solves);
+    let _ = writeln!(out, "  \"shared\": {},", m.shared);
     let _ = writeln!(out, "  \"cache_hits\": {},", m.cache_hits);
     let _ = writeln!(out, "  \"failures\": {},", m.failures);
     let _ = writeln!(out, "  \"escalated\": {},", m.escalated);
@@ -219,6 +221,7 @@ pub fn sweep_text_report(sweep: &SweepRun, include_timings: bool) -> String {
         "solves {}  pattern-hits {}  new-symbolic {} (after donor {})",
         m.batch.solves, m.batch.pattern_hits, m.new_symbolic, m.new_symbolic_after_donor
     );
+    let _ = writeln!(out, "shared {}", m.batch.shared);
     let _ = writeln!(out, "digest {:016x}", sweep.digest());
     if include_timings {
         let _ = writeln!(
@@ -264,6 +267,7 @@ pub fn sweep_json_report(sweep: &SweepRun, include_timings: bool) -> String {
     let _ = writeln!(out, "  \"seed\": {},", sweep.spec.seed);
     let _ = writeln!(out, "  \"members\": {},", m.members);
     let _ = writeln!(out, "  \"solves\": {},", m.batch.solves);
+    let _ = writeln!(out, "  \"shared\": {},", m.batch.shared);
     let _ = writeln!(out, "  \"cache_hits\": {},", m.batch.cache_hits);
     let _ = writeln!(out, "  \"pattern_hits\": {},", m.batch.pattern_hits);
     let _ = writeln!(out, "  \"new_symbolic\": {},", m.new_symbolic);

@@ -410,9 +410,11 @@ fn aggregate(base: &Design, run: &BatchRun, members: &[(usize, usize)]) -> Vec<N
 }
 
 /// Builds a sweep-ready [`Design`] from a PDN spec: one net per
-/// observation tap, all sharing the same grid circuit (and therefore
-/// one structure group — the tap is excluded from the pattern key).
-/// Net names are `pdn:<tap node>`.
+/// observation tap, each over a clone of the same grid circuit. A
+/// corner perturbs every tap's clone with the same stream, so the taps
+/// of a corner are bit-identical circuits: the batch engine solves each
+/// corner once and reads every tap off that one decomposition. Net
+/// names are `pdn:<tap node>`.
 pub fn pdn_design(name: impl Into<String>, spec: &PdnSpec) -> Design {
     let pdn = pdn_grid(spec);
     let nets = pdn

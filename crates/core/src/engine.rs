@@ -283,6 +283,9 @@ impl AweEngine {
     /// times — MNA assembly, moment generation, Padé pole matching, and
     /// residue computation — for profiling and batch run metrics.
     ///
+    /// This is [`AweEngine::decompose_timed`] followed by one
+    /// [`reduce_decomposition`] at `node`'s unknown.
+    ///
     /// # Errors
     ///
     /// Identical to [`AweEngine::approximate_with`].
@@ -294,10 +297,6 @@ impl AweEngine {
     ) -> Result<(AweApproximation, StageTimings), AweError> {
         let mut solve_span = awe_obs::span("engine.solve");
         solve_span.note(order as f64, self.system.num_unknowns() as f64);
-        let mut clock = StageTimings {
-            mna: self.assembly,
-            ..StageTimings::default()
-        };
         if order == 0 {
             return Err(AweError::BadOrder { order });
         }
@@ -305,6 +304,40 @@ impl AweEngine {
             .system
             .unknown_of_node(node)
             .ok_or(AweError::BadNode(node))?;
+        let (dec, mut clock) = self.decompose_timed(order, options)?;
+        let result = reduce_decomposition(&dec, idx, order, options, &mut clock);
+        self.recycle(dec);
+        Ok((result?, clock))
+    }
+
+    /// The node-independent half of a solve: factors `G̃` and runs the
+    /// moment recursion (§3.2, eqs. (31)–(34)) once, producing the
+    /// moments of *every* unknown — enough for order `order` plus the
+    /// §3.3 escalation headroom and the §3.4 `(q+1)` error reference.
+    /// Any node's approximation is then one [`reduce_decomposition`] at
+    /// its own unknown, so many observation nodes of one circuit share a
+    /// single factorization. Hand the decomposition back through
+    /// [`AweEngine::recycle`] when done.
+    ///
+    /// The returned clock carries the assembly, factor/refactor and
+    /// moment times; reductions add their Padé and residue times to it.
+    ///
+    /// # Errors
+    ///
+    /// * [`AweError::BadOrder`] for `order == 0`.
+    /// * [`AweError::Mna`] for circuits without a DC solution.
+    pub fn decompose_timed(
+        &self,
+        order: usize,
+        options: AweOptions,
+    ) -> Result<(Decomposition, StageTimings), AweError> {
+        if order == 0 {
+            return Err(AweError::BadOrder { order });
+        }
+        let mut clock = StageTimings {
+            mna: self.assembly,
+            ..StageTimings::default()
+        };
         // Factor G̃, reusing a stored symbolic pattern when one matches
         // (factor-once, solve-many): the cold factor and the numeric
         // refactorization are timed as their own stages.
@@ -326,23 +359,16 @@ impl AweEngine {
         let mut ws = std::mem::take(&mut *self.workspace.lock().expect("workspace lock"));
         let top = order + options.max_escalation + 1;
         let moments_start = Instant::now();
-        let dec = match engine.decompose_with(&mut ws, 2 * top) {
-            Ok(dec) => {
-                clock.moments = moments_start.elapsed();
-                *self.workspace.lock().expect("workspace lock") = ws;
-                dec
-            }
-            Err(e) => {
-                *self.workspace.lock().expect("workspace lock") = ws;
-                return Err(e.into());
-            }
-        };
+        let dec = engine.decompose_with(&mut ws, 2 * top);
+        clock.moments = moments_start.elapsed();
+        *self.workspace.lock().expect("workspace lock") = ws;
+        Ok((dec?, clock))
+    }
 
-        let result = reduce_decomposition(&dec, idx, order, options, &mut clock);
-        // Return the decomposition's vectors to the pool so the next
-        // solve's recursion starts warm.
+    /// Returns a decomposition's vectors to the engine's workspace so the
+    /// next solve's recursion starts warm.
+    pub fn recycle(&self, dec: Decomposition) {
         self.workspace.lock().expect("workspace lock").recycle(dec);
-        Ok((result?, clock))
     }
 }
 

@@ -321,12 +321,17 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so always valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte at once. Those stop bytes are ASCII, so
+                    // the run of the (valid UTF-8) input ends on a char
+                    // boundary, and each byte is scanned once.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }

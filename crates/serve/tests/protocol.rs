@@ -227,3 +227,24 @@ fn deck_errors_name_the_net_and_line() {
     assert_eq!(err.get("net").and_then(Json::as_str), Some("net2"));
     assert_eq!(err.get("line").and_then(Json::as_u64), Some(6));
 }
+
+/// A multi-megabyte inline deck loads: the JSON string scanner copies
+/// unescaped runs whole, so parsing stays linear in the line length.
+#[test]
+fn multi_megabyte_inline_deck_loads() {
+    let nets = 500;
+    let deck = awe_batch::Design::synthetic_chains(nets, 200, 3).to_multi_deck();
+    assert!(deck.len() >= 4 << 20, "deck is only {} bytes", deck.len());
+    let st = state();
+    let loaded = send(
+        &st,
+        &req(vec![
+            ("id", Json::from(1u64)),
+            ("verb", Json::str("load_design")),
+            ("session", Json::str("big")),
+            ("deck", Json::str(&deck)),
+        ]),
+    );
+    assert!(ok(&loaded), "{loaded}");
+    assert_eq!(num(&loaded, "nets"), nets as u64);
+}

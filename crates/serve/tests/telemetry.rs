@@ -45,6 +45,8 @@ const ANALYZE: &str = r#"{"id":3,"verb":"analyze","session":"s"}"#;
 
 #[test]
 fn every_reply_carries_a_fresh_request_id() {
+    // Requests emit obs events; a recording test must not see them.
+    let _guard = record_lock();
     let st = ServeState::new(ServeOptions::default());
     // Well-formed, error, and unparseable lines all get distinct,
     // strictly increasing ids: a log line is always attributable.
@@ -199,6 +201,8 @@ fn disabled_flight_recorder_never_writes() {
 
 #[test]
 fn exposition_has_the_advertised_families() {
+    // Requests emit obs events; a recording test must not see them.
+    let _guard = record_lock();
     let st = ServeState::new(ServeOptions::default());
     send(&st, LOAD);
     send(&st, ECO);
@@ -232,6 +236,8 @@ fn exposition_has_the_advertised_families() {
 
 #[test]
 fn stats_dashboard_renders_the_metrics_reply() {
+    // Requests emit obs events; a recording test must not see them.
+    let _guard = record_lock();
     let st = ServeState::new(ServeOptions::default());
     send(&st, LOAD);
     send(&st, ANALYZE);
