@@ -396,6 +396,7 @@ impl Session {
             );
             last.wall = run.wall;
             last.solves = run.solves;
+            last.shared = run.shared;
             last.cache_hits = clean + run.cache_hits;
             last.pattern_hits = run.pattern_hits;
             last.pool = run.pool;
