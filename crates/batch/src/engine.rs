@@ -6,7 +6,7 @@
 //! state) and [`NetTiming`] (wall times, which are not). Reports that
 //! must be byte-comparable across thread counts render only the former.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -19,7 +19,7 @@ use awe_numeric::LANE_WIDTH;
 
 use crate::design::{prepare_net, same_solve_circuit, Design};
 use crate::pool::{effective_threads, run_indexed, PoolStats};
-use crate::tape::{self, GroupTape, TapeKind, WorkerArena};
+use crate::tape::{self, GroupTape, WorkerArena};
 
 /// Results served from the incremental cache without an AWE solve.
 static CACHE_HITS: awe_obs::Counter = awe_obs::Counter::new("batch.cache_hits");
@@ -43,10 +43,8 @@ pub const CALLER_WORKER: usize = usize::MAX;
 /// Nets per scalar work unit: the pool's deques move whole batches of
 /// tiny nets per lock transaction instead of individual ~100 µs jobs.
 const SCALAR_CHUNK: usize = 16;
-/// Members per dense-tape work unit.
-const DENSE_CHUNK: usize = 16;
-/// Members per sparse-tape work unit (two full lane blocks).
-const SPARSE_CHUNK: usize = 2 * LANE_WIDTH;
+/// Members per tape work unit (two full lane blocks).
+const TAPE_CHUNK: usize = 2 * LANE_WIDTH;
 
 /// Options for one batch run.
 #[derive(Clone, Copy, Debug)]
@@ -67,12 +65,13 @@ pub struct BatchOptions {
     /// reduced topology plus the reduce config, so toggling this (or the
     /// tolerance) never serves results computed under another config.
     pub reduce: ReduceOptions,
-    /// Compile structure groups to flat evaluation tapes and replay the
-    /// members through the multi-lane VM (see [`GroupTape`]). Replay is
-    /// bit-identical to the scalar path; `false` is the escape hatch.
-    /// Automatic order selection ([`BatchOptions::auto_target`]) always
-    /// takes the scalar path — it re-plans per net, so there is no
-    /// group-uniform schedule to compile.
+    /// Replay the members of every structure group with a shared sparse
+    /// pattern through the multi-lane kernel (see [`GroupTape`]). Replay
+    /// is bit-identical to the scalar path; `false` is the escape hatch.
+    /// Groups on the dense path always take the scalar path, as does
+    /// automatic order selection ([`BatchOptions::auto_target`]) — it
+    /// re-plans per net, so there is no group-uniform schedule to
+    /// compile.
     pub use_tape: bool,
 }
 
@@ -207,9 +206,9 @@ pub struct BatchEngine {
     /// exactly once, then refactor numerically.
     patterns: Mutex<HashMap<u64, SharedSymbolic>>,
     /// Compiled group tapes keyed by pattern key. Revalidated against the
-    /// run's options and the pattern cache before reuse (a stale tape
-    /// recompiles — compilation needs no donor and is cheap), so a
-    /// single-member ECO re-run of a known group replays its tape.
+    /// pattern cache before reuse (a stale tape recompiles — compilation
+    /// needs no donor and is cheap), so a single-member ECO re-run of a
+    /// known group replays its tape.
     tapes: Mutex<HashMap<u64, Arc<GroupTape>>>,
     /// Per-worker tape-replay arenas, kept warm across runs.
     arenas: Mutex<Vec<WorkerArena>>,
@@ -390,7 +389,6 @@ impl BatchEngine {
         // singleton groups pay nothing here.
         let mut outcomes: Vec<(u64, usize, SolveOutcome)> = Vec::new();
         let mut presolved: Vec<usize> = Vec::new();
-        let mut donor_attempted: HashSet<u64> = HashSet::new();
         for i in 0..plan.len() {
             if !matches!(plan[i], Plan::Solve(_)) {
                 continue;
@@ -408,10 +406,9 @@ impl BatchEngine {
                 continue;
             }
             // One donor attempt per group, whether or not it yields a
-            // pattern (dense nets never do — their siblings then replay
-            // the dense tape).
+            // pattern (dense nets never do — their siblings then solve in
+            // the scalar units like any ungrouped net).
             group_size.remove(&key);
-            donor_attempted.insert(key);
             let t0 = Instant::now();
             let mut presolve_span = awe_obs::span("batch.presolve");
             presolve_span.note(i as f64, 0.0);
@@ -460,49 +457,32 @@ impl BatchEngine {
         let mut scalar_nets: Vec<usize> = Vec::new();
         let mut tapes_compiled = 0usize;
         for (key, members) in groups {
-            let symbolic = snapshot.get(&key).cloned();
-            // A tape applies when the group's shared pattern is known
-            // (sparse replay — even for one member, e.g. an ECO re-run),
-            // or when its donor solved this run and ended dense (the
-            // members share its topology, so they will too).
-            if !tape_on || (symbolic.is_none() && !donor_attempted.contains(&key)) {
+            // A tape applies when the group's shared sparse pattern is
+            // known — even for one member, e.g. an ECO re-run.
+            let Some(symbolic) = snapshot.get(&key).filter(|_| tape_on) else {
                 scalar_nets.extend(members);
                 continue;
-            }
+            };
             let tape = {
                 let mut tapes = self.tapes.lock().expect("tape lock");
-                let cached = tapes
+                match tapes
                     .get(&key)
-                    .filter(|t| {
-                        t.matches(opts)
-                            && match (&t.kind, &symbolic) {
-                                (TapeKind::Sparse { symbolic: s }, Some(cur)) => {
-                                    Arc::ptr_eq(s, cur)
-                                }
-                                (TapeKind::Dense, None) => true,
-                                _ => false,
-                            }
-                    })
-                    .cloned();
-                match cached {
-                    Some(t) => t,
+                    .filter(|t| Arc::ptr_eq(&t.symbolic, symbolic))
+                {
+                    Some(t) => t.clone(),
                     None => {
                         tapes_compiled += 1;
                         // The first member stands in as the group's donor
                         // for stamp-program compilation (any member works:
                         // the program is topology-only and self-checks).
                         let donor = members.first().map(|&i| solve_circuit(i));
-                        let t = Arc::new(tape::compile(key, donor, symbolic, opts));
+                        let t = Arc::new(tape::compile(key, donor, symbolic.clone()));
                         tapes.insert(key, t.clone());
                         t
                     }
                 }
             };
-            let chunk = match tape.kind {
-                TapeKind::Sparse { .. } => SPARSE_CHUNK,
-                TapeKind::Dense => DENSE_CHUNK,
-            };
-            units.extend(members.chunks(chunk).map(|c| Unit::Tape {
+            units.extend(members.chunks(TAPE_CHUNK).map(|c| Unit::Tape {
                 tape: tape.clone(),
                 members: c.to_vec(),
             }));

@@ -58,4 +58,4 @@ pub use report::{json_report, sweep_json_report, sweep_text_report, text_report}
 pub use sweep::{
     corner_circuit, pdn_design, sweep, sweep_ordered, CornerError, CornerSpec, NodeStats, SweepRun,
 };
-pub use tape::{GroupTape, TapeKind, TapeOp, WorkerArena};
+pub use tape::{GroupTape, WorkerArena};

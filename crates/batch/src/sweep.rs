@@ -7,8 +7,8 @@
 //! net shares the base net's [`pattern_key`](crate::design::pattern_key):
 //! the batch engine puts the whole sweep into **one structure group**,
 //! pays one donor symbolic factorization, and replays every other corner
-//! through the compiled stamp-program/`RefactorLanes` tape path with
-//! zero new symbolic work.
+//! through the group's tape (stamp program, lane refactor) with zero new
+//! symbolic work.
 //!
 //! Determinism is by construction, not by scheduling discipline: corner
 //! `k`'s perturbation stream is seeded by a splitmix64 mix of

@@ -1,9 +1,9 @@
 //! One solve per distinct circuit: nets that observe the same solve
 //! circuit at different nodes share its MNA build, factorization and
 //! moment recursion, and each of them gets exactly the result it would
-//! get solved alone — on every solve path (donor presolve, dense tape,
-//! sparse lanes, scalar), at any thread count, with tapes and the
-//! reduction pre-pass on or off.
+//! get solved alone — on every solve path (donor presolve, sparse lanes,
+//! scalar), at any thread count, with tapes and the reduction pre-pass on
+//! or off.
 
 use proptest::prelude::*;
 
@@ -70,7 +70,7 @@ fn observe(nets: &mut Vec<NetSpec>, tag: &str, c: &Circuit, nodes: &[NodeId]) {
 }
 
 /// Seven distinct solve circuits: a dense RC-tree group of three (donor
-/// presolve plus dense tape), a sparse 200-stage chain group of three
+/// presolve plus scalar solves), a sparse 200-stage chain group of three
 /// (donor plus lane replay), and a lone tree (scalar path). The second
 /// tree and the last two chains are observed at `k` nodes each, the lone
 /// tree at `k` nodes too, and one extra net observes the circuit picked

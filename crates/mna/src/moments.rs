@@ -347,28 +347,6 @@ impl<'a> MomentEngine<'a> {
         }
     }
 
-    /// An engine over a prebuilt *dense* LU of `system`'s `G̃` (e.g. a
-    /// [`Lu::factor_reusing`] factorization recycling a batch arena's
-    /// buffers). Bit-identical to the dense path of
-    /// [`MomentEngine::with_pattern`] given identical factor values.
-    pub fn from_dense(system: &'a MnaSystem, lu: Lu) -> MomentEngine<'a> {
-        MomentEngine {
-            system,
-            lu: Factorization::Dense(lu),
-            c_tilde_sparse: None,
-            refactored: false,
-        }
-    }
-
-    /// Consumes the engine, returning the dense LU for buffer recycling
-    /// (`None` on the sparse path).
-    pub fn into_dense_lu(self) -> Option<Lu> {
-        match self.lu {
-            Factorization::Dense(lu) => Some(lu),
-            Factorization::Sparse(_) => None,
-        }
-    }
-
     /// Consumes the engine, returning the sparse factorization and `C̃`
     /// image for buffer recycling (`None` on the dense path or when no
     /// sparse image was kept).

@@ -47,20 +47,6 @@ impl Lu {
     ///   conditioning diagnostics remain available; use
     ///   [`Lu::condition_estimate`] to detect trouble.
     pub fn factor(a: &Matrix) -> Result<Lu, NumericError> {
-        Self::factor_reusing(a, None)
-    }
-
-    /// Factors `A` like [`Lu::factor`], reusing a previous factorization's
-    /// storage instead of allocating. The result is bit-identical to a
-    /// fresh `factor(a)` — same pivot search, same elimination — only the
-    /// backing buffers differ. Batch tape replay threads each worker's
-    /// retired `Lu` back through here so per-net dense factorization
-    /// allocates nothing in steady state.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`Lu::factor`].
-    pub fn factor_reusing(a: &Matrix, recycle: Option<Lu>) -> Result<Lu, NumericError> {
         if !a.is_square() {
             return Err(NumericError::NotSquare {
                 rows: a.rows(),
@@ -68,20 +54,8 @@ impl Lu {
             });
         }
         let n = a.rows();
-        let (mut lu, mut perm) = match recycle {
-            Some(old) => {
-                let Lu {
-                    lu: mut m,
-                    perm: mut p,
-                    ..
-                } = old;
-                m.copy_from(a);
-                p.clear();
-                p.extend(0..n);
-                (m, p)
-            }
-            None => (a.clone(), (0..n).collect::<Vec<usize>>()),
-        };
+        let mut lu = a.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
         let mut sign = 1.0;
 
         for k in 0..n {
@@ -336,22 +310,6 @@ pub fn lu_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, NumericError> {
 mod tests {
     use super::*;
     use crate::matrix::vecops::norm_inf;
-
-    #[test]
-    fn factor_reusing_is_bitwise_factor() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0, 0.5], &[1.0, 3.0, 1.0], &[0.0, 1.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[0.0, 1.0, 0.0], &[1.0, 0.0, 2.0], &[0.0, 2.0, 1.0]]);
-        let fresh_a = Lu::factor(&a).unwrap();
-        let fresh_b = Lu::factor(&b).unwrap();
-        // Recycle a's storage into b's factorization: identical results.
-        let reused = Lu::factor_reusing(&b, Some(fresh_a)).unwrap();
-        assert_eq!(reused.lu, fresh_b.lu);
-        assert_eq!(reused.perm, fresh_b.perm);
-        assert_eq!(reused.perm_sign, fresh_b.perm_sign);
-        // Errors still surface through the reusing path.
-        assert!(Lu::factor_reusing(&Matrix::zeros(2, 3), None).is_err());
-        assert!(Lu::factor_reusing(&Matrix::zeros(2, 2), None).is_err());
-    }
 
     fn residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
         let ax = a.mul_vec(x);

@@ -274,3 +274,29 @@ fn five_hundred_member_group_compiles_one_tape() {
     assert_eq!(rerun.tapes_compiled, 0);
     assert_eq!(rerun.tape_replays, 0);
 }
+
+/// Structure groups of small RC trees end on the dense path, so they get
+/// no tape: every member after the donor solves in the scalar units,
+/// with results bit-identical to the tape-off run at any thread count.
+#[test]
+fn dense_groups_take_the_scalar_path() {
+    let design = Design::synthetic_groups(6, 10, 7);
+    let off = BatchEngine::new().run(&design, &opts(false));
+    for threads in [1, 4] {
+        let on = BatchEngine::new().run(
+            &design,
+            &BatchOptions {
+                threads,
+                ..opts(true)
+            },
+        );
+        assert_eq!(on.solves, 60);
+        assert_eq!(on.tapes_compiled, 0, "dense groups compile no tape");
+        assert_eq!(on.tape_replays, 0);
+        assert_eq!(on.scalar_fallbacks, 0);
+        assert_bit_identical(&on, &off);
+        for r in &on.results {
+            assert!(r.error.is_none(), "{}: {:?}", r.name, r.error);
+        }
+    }
+}
