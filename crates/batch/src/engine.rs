@@ -19,7 +19,7 @@ use awe_numeric::LANE_WIDTH;
 
 use crate::design::{prepare_net, same_solve_circuit, Design};
 use crate::pool::{effective_threads, run_indexed, PoolStats};
-use crate::tape::{self, GroupTape, WorkerArena};
+use crate::tape::{self, GroupTape, ReplayStats, WorkerArena};
 
 /// Results served from the incremental cache without an AWE solve.
 static CACHE_HITS: awe_obs::Counter = awe_obs::Counter::new("batch.cache_hits");
@@ -188,6 +188,12 @@ pub struct BatchRun {
     /// refactorization, unknown-count mismatch, …) and finished on the
     /// scalar solve path instead.
     pub scalar_fallbacks: usize,
+    /// Tape members stamped from their group's stamp program: value
+    /// stores into the program's template, no dense matrix.
+    pub stamped: usize,
+    /// Tape members the stamp program declined (or whose group has
+    /// none), rebuilt through the full dense MNA assembly.
+    pub rebuilt: usize,
 }
 
 /// Concurrent batch analyzer with a persistent incremental-reanalysis
@@ -205,10 +211,11 @@ pub struct BatchEngine {
     /// nets (same topology, any values) factor their elimination pattern
     /// exactly once, then refactor numerically.
     patterns: Mutex<HashMap<u64, SharedSymbolic>>,
-    /// Compiled group tapes keyed by pattern key. Revalidated against the
-    /// pattern cache before reuse (a stale tape recompiles — compilation
-    /// needs no donor and is cheap), so a single-member ECO re-run of a
-    /// known group replays its tape.
+    /// Compiled group tapes keyed by pattern key. A group's donor
+    /// presolve compiles its tape from the system it assembled;
+    /// revalidated against the pattern cache before reuse (a stale tape
+    /// recompiles from one member's circuit — no donor solve needed), so
+    /// a single-member ECO re-run of a known group replays its tape.
     tapes: Mutex<HashMap<u64, Arc<GroupTape>>>,
     /// Per-worker tape-replay arenas, kept warm across runs.
     arenas: Mutex<Vec<WorkerArena>>,
@@ -387,6 +394,8 @@ impl BatchEngine {
         // stay byte-identical across thread counts. Groups whose pattern
         // is already cached (an earlier run) skip straight to replay;
         // singleton groups pay nothing here.
+        let tape_on = tape::tape_applicable(opts);
+        let mut tapes_compiled = 0usize;
         let mut outcomes: Vec<(u64, usize, SolveOutcome)> = Vec::new();
         let mut presolved: Vec<usize> = Vec::new();
         for i in 0..plan.len() {
@@ -412,9 +421,21 @@ impl BatchEngine {
             let t0 = Instant::now();
             let mut presolve_span = awe_obs::span("batch.presolve");
             presolve_span.note(i as f64, 0.0);
-            let (nets, pattern) = solve_net(&job(i), opts, None);
+            let solved = solve_net(&job(i), opts, None);
+            let latency = t0.elapsed();
             drop(presolve_span);
-            if let Some(p) = pattern {
+            if let Some(p) = solved.pattern {
+                if tape_on {
+                    // The group's tape compiles from the system the donor
+                    // just assembled: no second dense build.
+                    tapes_compiled += 1;
+                    let system = solved.engine.map(AweEngine::into_system);
+                    let t = tape::compile(key, Some(solve_circuit(i)), system, p.clone());
+                    self.tapes
+                        .lock()
+                        .expect("tape lock")
+                        .insert(key, Arc::new(t));
+                }
                 self.patterns.lock().expect("pattern lock").insert(key, p);
             }
             presolved.push(i);
@@ -422,8 +443,8 @@ impl BatchEngine {
                 key,
                 CALLER_WORKER,
                 SolveOutcome {
-                    nets,
-                    latency: t0.elapsed(),
+                    nets: solved.nets,
+                    latency,
                     pattern_hit: false,
                     new_pattern: None,
                     fallback: false,
@@ -439,7 +460,6 @@ impl BatchEngine {
             self.patterns.lock().expect("pattern lock").clone();
 
         // Partition the remaining solves into work units.
-        let tape_on = tape::tape_applicable(opts);
         let mut order_of_pattern: HashMap<u64, usize> = HashMap::new();
         let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
         for i in 0..plan.len() {
@@ -455,7 +475,6 @@ impl BatchEngine {
         }
         let mut units: Vec<Unit> = Vec::new();
         let mut scalar_nets: Vec<usize> = Vec::new();
-        let mut tapes_compiled = 0usize;
         for (key, members) in groups {
             // A tape applies when the group's shared sparse pattern is
             // known — even for one member, e.g. an ECO re-run.
@@ -472,11 +491,12 @@ impl BatchEngine {
                     Some(t) => t.clone(),
                     None => {
                         tapes_compiled += 1;
-                        // The first member stands in as the group's donor
-                        // for stamp-program compilation (any member works:
+                        // A pattern cached by an earlier run: the first
+                        // member stands in as the group's donor for
+                        // stamp-program compilation (any member works:
                         // the program is topology-only and self-checks).
                         let donor = members.first().map(|&i| solve_circuit(i));
-                        let t = Arc::new(tape::compile(key, donor, symbolic.clone()));
+                        let t = Arc::new(tape::compile(key, donor, None, symbolic.clone()));
                         tapes.insert(key, t.clone());
                         t
                     }
@@ -516,8 +536,7 @@ impl BatchEngine {
                     UnitOut {
                         outcomes: outs.into_iter().map(|o| (tape.pattern, w, o)).collect(),
                         replays: 1,
-                        lane_blocks: stats.lane_blocks,
-                        lane_lanes: stats.lane_lanes,
+                        stats,
                     }
                 }
                 Unit::Scalar { nets } => {
@@ -529,15 +548,18 @@ impl BatchEngine {
                             net_span.note(i as f64, w as f64);
                             let t0 = Instant::now();
                             let seed = snapshot.get(&key);
-                            let (nets, pattern) = solve_net(&job(i), opts, seed);
-                            (key, w, outcome(nets, t0, seed, pattern, false))
+                            let solved = solve_net(&job(i), opts, seed);
+                            (
+                                key,
+                                w,
+                                outcome(solved.nets, t0, seed, solved.pattern, false),
+                            )
                         })
                         .collect();
                     UnitOut {
                         outcomes,
                         replays: 0,
-                        lane_blocks: 0,
-                        lane_lanes: 0,
+                        stats: ReplayStats::default(),
                     }
                 }
             }
@@ -558,13 +580,14 @@ impl BatchEngine {
         let mut pattern_hits = 0usize;
         let mut scalar_fallbacks = 0usize;
         let mut tape_replays = 0usize;
-        let mut lane_blocks = 0usize;
-        let mut lane_lanes = 0usize;
+        let mut replay = ReplayStats::default();
         let mut new_patterns: Vec<(u64, SharedSymbolic)> = Vec::new();
         for out in unit_outs {
             tape_replays += out.replays;
-            lane_blocks += out.lane_blocks;
-            lane_lanes += out.lane_lanes;
+            replay.lane_blocks += out.stats.lane_blocks;
+            replay.lane_lanes += out.stats.lane_lanes;
+            replay.stamped += out.stats.stamped;
+            replay.rebuilt += out.stats.rebuilt;
             outcomes.extend(out.outcomes);
         }
         for (key, worker, o) in outcomes {
@@ -653,9 +676,11 @@ impl BatchEngine {
             pattern_hits,
             tapes_compiled,
             tape_replays,
-            lane_blocks,
-            lane_lanes,
+            lane_blocks: replay.lane_blocks,
+            lane_lanes: replay.lane_lanes,
             scalar_fallbacks,
+            stamped: replay.stamped,
+            rebuilt: replay.rebuilt,
         }
     }
 }
@@ -691,8 +716,7 @@ enum Unit {
 struct UnitOut {
     outcomes: Vec<(u64, usize, SolveOutcome)>,
     replays: usize,
-    lane_blocks: usize,
-    lane_lanes: usize,
+    stats: ReplayStats,
 }
 
 /// One net reading its result off a solve: where the result goes and
@@ -756,6 +780,17 @@ pub(crate) fn outcome(
     }
 }
 
+/// What one [`solve_net`] produced.
+pub(crate) struct Solved {
+    /// `(design index, result, stage times)` per observer.
+    pub nets: Vec<(usize, NetResult, StageTimings)>,
+    /// The pattern the engine ended up with.
+    pub pattern: Option<SharedSymbolic>,
+    /// The engine, holding the assembled system (`None` when assembly
+    /// failed).
+    pub engine: Option<AweEngine>,
+}
+
 /// One full AWE solve of a job, with stage times: one MNA build, one
 /// factorization and one moment recursion per order tried, reduced at
 /// every observer's node. Each observer's result is bit-identical to
@@ -764,15 +799,12 @@ pub(crate) fn outcome(
 /// to the AWE engine so the factorization can skip its symbolic
 /// analysis; the pattern the engine ends up with (the seed if the
 /// refactorization succeeded, a freshly analysed one otherwise, `None` on
-/// the dense path) is returned for the caches.
+/// the dense path) is returned for the caches, with the engine itself.
 pub(crate) fn solve_net(
     job: &SolveJob<'_>,
     opts: &BatchOptions,
     seed: Option<&SharedSymbolic>,
-) -> (
-    Vec<(usize, NetResult, StageTimings)>,
-    Option<SharedSymbolic>,
-) {
+) -> Solved {
     let requested = if opts.auto_target.is_some() {
         1
     } else {
@@ -798,7 +830,11 @@ pub(crate) fn solve_net(
             for r in &mut results {
                 r.error = Some(e.to_string());
             }
-            return (collect(results, vec![StageTimings::default(); n]), None);
+            return Solved {
+                nets: collect(results, vec![StageTimings::default(); n]),
+                pattern: None,
+                engine: None,
+            };
         }
     };
     engine.set_factor_pattern(seed.cloned());
@@ -832,8 +868,11 @@ pub(crate) fn solve_net(
             Some(target) => auto_solve(&engine, live, target, opts, &mut stages, &mut results),
         }
     }
-    let pattern = engine.factor_pattern();
-    (collect(results, stages), pattern)
+    Solved {
+        nets: collect(results, stages),
+        pattern: engine.factor_pattern(),
+        engine: Some(engine),
+    }
 }
 
 /// Fixed-order mode: one decomposition with the escalation headroom,

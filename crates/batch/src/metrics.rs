@@ -47,6 +47,11 @@ pub struct RunMetrics {
     /// Tape members that diverged from their block and finished on the
     /// scalar solve path.
     pub scalar_fallbacks: usize,
+    /// Tape members stamped from their group's stamp program (no dense
+    /// matrix).
+    pub stamped: usize,
+    /// Tape members rebuilt through the full dense MNA assembly.
+    pub rebuilt: usize,
     /// Nets whose analysis failed.
     pub failures: usize,
     /// Nets that escalated past their requested/starting order.
@@ -118,6 +123,8 @@ impl RunMetrics {
                 run.lane_lanes as f64 / (run.lane_blocks * awe_numeric::LANE_WIDTH) as f64
             }),
             scalar_fallbacks: run.scalar_fallbacks,
+            stamped: run.stamped,
+            rebuilt: run.rebuilt,
             failures: run.results.iter().filter(|r| r.error.is_some()).count(),
             escalated: run.results.iter().filter(|r| r.escalations > 0).count(),
             rescued: run.results.iter().filter(|r| r.rescued).count(),

@@ -66,12 +66,15 @@ pub fn text_report(run: &BatchRun, include_timings: bool) -> String {
         let _ = writeln!(out, "pattern-hits {}", m.pattern_hits);
         let _ = writeln!(
             out,
-            "tapes compiled {}  replays {}  lane-occupancy {}  scalar-fallbacks {}",
+            "tapes compiled {}  replays {}  lane-occupancy {}  scalar-fallbacks {}  \
+             stamped {}  rebuilt {}",
             m.tapes_compiled,
             m.tape_replays,
             m.lane_occupancy
                 .map_or("-".to_string(), |o| format!("{:.0} %", 100.0 * o)),
-            m.scalar_fallbacks
+            m.scalar_fallbacks,
+            m.stamped,
+            m.rebuilt
         );
         let _ = writeln!(
             out,
@@ -156,11 +159,13 @@ pub fn json_report(run: &BatchRun, include_timings: bool) -> String {
         let _ = writeln!(
             out,
             "  \"tape\": {{\"compiled\": {}, \"replays\": {}, \"lane_occupancy\": {}, \
-             \"scalar_fallbacks\": {}}},",
+             \"scalar_fallbacks\": {}, \"stamped\": {}, \"rebuilt\": {}}},",
             m.tapes_compiled,
             m.tape_replays,
             json_opt_f64(m.lane_occupancy),
-            m.scalar_fallbacks
+            m.scalar_fallbacks,
+            m.stamped,
+            m.rebuilt
         );
         let _ = writeln!(
             out,
@@ -235,13 +240,16 @@ pub fn sweep_text_report(sweep: &SweepRun, include_timings: bool) -> String {
         let _ = writeln!(out, "stages (cpu):  {}", stage_line(&m.batch.stages_cpu));
         let _ = writeln!(
             out,
-            "tapes compiled {}  replays {}  lane-occupancy {}  scalar-fallbacks {}",
+            "tapes compiled {}  replays {}  lane-occupancy {}  scalar-fallbacks {}  \
+             stamped {}  rebuilt {}",
             m.batch.tapes_compiled,
             m.batch.tape_replays,
             m.batch
                 .lane_occupancy
                 .map_or("-".to_string(), |o| format!("{:.0} %", 100.0 * o)),
-            m.batch.scalar_fallbacks
+            m.batch.scalar_fallbacks,
+            m.batch.stamped,
+            m.batch.rebuilt
         );
         let _ = writeln!(
             out,
@@ -297,11 +305,13 @@ pub fn sweep_json_report(sweep: &SweepRun, include_timings: bool) -> String {
         let _ = writeln!(
             out,
             "  \"tape\": {{\"compiled\": {}, \"replays\": {}, \"lane_occupancy\": {}, \
-             \"scalar_fallbacks\": {}}},",
+             \"scalar_fallbacks\": {}, \"stamped\": {}, \"rebuilt\": {}}},",
             m.batch.tapes_compiled,
             m.batch.tape_replays,
             json_opt_f64(m.batch.lane_occupancy),
-            m.batch.scalar_fallbacks
+            m.batch.scalar_fallbacks,
+            m.batch.stamped,
+            m.batch.rebuilt
         );
         let _ = writeln!(
             out,

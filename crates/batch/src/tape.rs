@@ -22,10 +22,17 @@
 //! tape-off path. Factoring a small dense `G̃` costs next to nothing, so
 //! recycling its buffers bought no measurable speed (see `DESIGN.md` §13).
 //!
+//! The stamp stage never touches a dense `n×n` matrix for a member the
+//! group's [`StampProgram`] admits: the member's values fold into a copy
+//! of the program's template (the donor's bookkeeping and CSC `G̃`/`C̃`
+//! pattern), kept in the worker's arena slot from block to block. Only a
+//! member the program declines is rebuilt in full.
+//!
 //! Replay is **bit-identical** to the scalar engine path by
 //! construction: every stage goes through the same code the scalar path
-//! runs (`build_reusing` ≡ `build`, `refill_from_dense` ≡ `from_dense`,
-//! per-lane `LaneLu` factors ≡ scalar refactorization,
+//! runs or a proven-equal twin of it (program stamping ≡ `build` +
+//! `from_dense`, `build_reusing` ≡ `build`, `refill_from_dense` ≡
+//! `from_dense`, per-lane `LaneLu` factors ≡ scalar refactorization,
 //! `decompose_lanes_with` ≡ per-lane `decompose_with`,
 //! [`reduce_decomposition`] ≡ the engine's delivery policy). Any member
 //! that diverges — a failed lane refactorization or an unknown-count
@@ -56,7 +63,7 @@ static TAPE_REPLAYS: awe_obs::Counter = awe_obs::Counter::new("batch.tape_replay
 static SCALAR_FALLBACKS: awe_obs::Counter = awe_obs::Counter::new("batch.scalar_fallbacks");
 /// Live-lane fraction per executed lane block (1.0 = all lanes full).
 static LANE_OCCUPANCY: awe_obs::Histogram = awe_obs::Histogram::new("batch.lane_occupancy");
-/// Members restamped through a compiled stamp program (the value-only
+/// Members stamped through a compiled stamp program (the value-only
 /// fast path) instead of a full MNA rebuild.
 static STAMP_APPLIES: awe_obs::Counter = awe_obs::Counter::new("batch.stamp_applies");
 
@@ -73,9 +80,10 @@ pub struct GroupTape {
     pub pattern: u64,
     /// The group's shared symbolic LU pattern.
     pub symbolic: SharedSymbolic,
-    /// Compiled value-only restamping schedule (when the donor fits the
-    /// program contract). Replay uses it to skip the full MNA rebuild on
-    /// primed arena slots; `None` stamps through `build_reusing`.
+    /// Compiled value-only stamping schedule (when the donor fits the
+    /// program contract). Replay stamps every member it admits from its
+    /// template, with no dense matrix; `None` stamps through
+    /// `build_reusing`.
     pub program: Option<Arc<StampProgram>>,
 }
 
@@ -105,15 +113,25 @@ pub fn tape_applicable(opts: &BatchOptions) -> bool {
 
 /// Compiles the tape for one structure group. `symbolic` is the group's
 /// shared pattern; `donor` is the group's donor circuit, from which the
-/// value-only restamping program is compiled when the topology fits its
-/// contract (see [`StampProgram`]). A donor outside the contract — or a
-/// program whose unknown count disagrees with the shared pattern (a
-/// pattern-key collision) — simply leaves `program` unset, and replay
-/// stamps through the full build path.
-pub fn compile(pattern: u64, donor: Option<&Circuit>, symbolic: SharedSymbolic) -> GroupTape {
+/// value-only stamping program is compiled when the topology fits its
+/// contract (see [`StampProgram`]). `system` is the donor's assembled
+/// system when the caller has one (the donor's own solve built it); the
+/// program then takes it as its template instead of building another. A
+/// donor outside the contract — or a program whose unknown count
+/// disagrees with the shared pattern (a pattern-key collision) — simply
+/// leaves `program` unset, and replay stamps through the full build path.
+pub fn compile(
+    pattern: u64,
+    donor: Option<&Circuit>,
+    system: Option<MnaSystem>,
+    symbolic: SharedSymbolic,
+) -> GroupTape {
     TAPES_COMPILED.incr();
     let program = donor
-        .and_then(StampProgram::compile)
+        .and_then(|c| match system {
+            Some(sys) => StampProgram::compile_from(c, sys),
+            None => StampProgram::compile(c),
+        })
         .filter(|p| p.num_unknowns() == symbolic.dim())
         .map(Arc::new);
     GroupTape {
@@ -129,16 +147,17 @@ struct Slot {
     sys: MnaSystem,
     g_img: SparseMatrix,
     c_img: SparseMatrix,
-    /// Pattern key whose stamp program admitted the member that last
-    /// filled these buffers: they then hold that group's donor structure,
-    /// so the program may restamp them in place instead of rebuilding.
-    primed: Option<u64>,
+    /// The stamp program whose template these buffers hold (no dense
+    /// matrices; the program restamps them in place), or `None` for a
+    /// system rebuilt in full.
+    program: Option<Arc<StampProgram>>,
 }
 
 /// One worker's owned replay buffers: one [`Slot`] per lane position and
 /// the moment-recursion workspace. Each pool worker owns exactly one
 /// arena for a whole run, so replay performs no cross-thread sharing
-/// and, in steady state, no per-net allocation.
+/// and, in steady state, no per-net allocation: a slot is copied from
+/// its group's template once, then restamped in place.
 pub struct WorkerArena {
     ws: MomentWorkspace,
     slots: Vec<Option<Slot>>,
@@ -173,6 +192,10 @@ pub(crate) struct ReplayStats {
     pub lane_blocks: usize,
     /// Live lanes summed over those blocks (occupancy numerator).
     pub lane_lanes: usize,
+    /// Members stamped through the group's stamp program.
+    pub stamped: usize,
+    /// Members rebuilt through the full MNA assembly.
+    pub rebuilt: usize,
 }
 
 /// Replays the solve `jobs` of one structure group against `tape`, using
@@ -206,12 +229,12 @@ struct Lane {
     sys: MnaSystem,
     g_img: SparseMatrix,
     c_img: Option<SparseMatrix>,
-    primed: Option<u64>,
+    program: Option<Arc<StampProgram>>,
     idxs: Vec<Option<usize>>,
     stamp: Duration,
 }
 
-/// Returns a retired lane's buffers to its arena slot. The primed tag
+/// Returns a retired lane's buffers to its arena slot. The program tag
 /// stays valid: retirement never changes the buffers' structure, only
 /// their values. A lane whose `C̃` image did not come back leaves the
 /// slot empty.
@@ -220,7 +243,7 @@ fn park_lane(arena: &mut WorkerArena, lane: Lane) {
         sys: lane.sys,
         g_img: lane.g_img,
         c_img,
-        primed: lane.primed,
+        program: lane.program,
     });
 }
 
@@ -299,25 +322,39 @@ fn reduce_observers(
         .collect()
 }
 
-/// Stamps one member into a slot: through the tape's stamp program when
-/// the recycled slot is primed for this tape's pattern and the program
-/// admits the member — `O(elements + nnz)` value stores — else a full
-/// build reusing the slot's buffers, which primes the slot for the next
-/// block when the program admits this member (its structure then provably
-/// equals the donor's).
+/// Stamps one member into a slot. A member the tape's stamp program
+/// admits is stamped from the program — `O(elements + nnz)` value stores
+/// into the recycled slot, or into a fresh copy of the template when the
+/// slot holds another structure — and carries no dense matrix. Any other
+/// member is rebuilt in full, reusing the slot's buffers. `stats` counts
+/// which of the two happened.
 fn stamp(
     tape: &GroupTape,
     circuit: &Circuit,
     mut recycled: Option<Slot>,
+    stats: &mut ReplayStats,
 ) -> Result<Slot, AweError> {
-    if let (Some(prog), Some(s)) = (&tape.program, recycled.as_mut()) {
-        if s.primed == Some(tape.pattern)
-            && prog.apply(circuit, &mut s.sys, &mut s.g_img, &mut s.c_img)
-        {
+    if let Some(prog) = tape.program.as_ref().filter(|p| p.check(circuit)) {
+        let mut slot = match recycled.take() {
+            Some(s) if s.program.as_ref().is_some_and(|p| Arc::ptr_eq(p, prog)) => s,
+            _ => {
+                let (sys, g_img, c_img) = prog.instantiate();
+                Slot {
+                    sys,
+                    g_img,
+                    c_img,
+                    program: Some(prog.clone()),
+                }
+            }
+        };
+        if prog.apply(circuit, &mut slot.sys, &mut slot.g_img, &mut slot.c_img) {
             STAMP_APPLIES.incr();
-            return Ok(recycled.expect("matched above"));
+            stats.stamped += 1;
+            return Ok(slot);
         }
+        recycled = Some(slot);
     }
+    stats.rebuilt += 1;
     let (sys, g_img, c_img) = match recycled {
         Some(s) => (Some(s.sys), Some(s.g_img), Some(s.c_img)),
         None => (None, None, None),
@@ -325,12 +362,11 @@ fn stamp(
     let sys = MnaSystem::build_reusing(circuit, sys)?;
     let g_img = refill_or_build(g_img, &sys.g_tilde);
     let c_img = refill_or_build(c_img, &sys.c_tilde);
-    let admitted = tape.program.as_ref().is_some_and(|p| p.check(circuit));
     Ok(Slot {
         sys,
         g_img,
         c_img,
-        primed: admitted.then_some(tape.pattern),
+        program: None,
     })
 }
 
@@ -355,7 +391,7 @@ fn replay_lanes(
     let mut lanes: Vec<Lane> = Vec::with_capacity(members.len());
     for (pos, member) in members.iter().enumerate() {
         let t0 = Instant::now();
-        let slot = match stamp(tape, member.circuit, arena.slots[pos].take()) {
+        let slot = match stamp(tape, member.circuit, arena.slots[pos].take(), stats) {
             Ok(slot) => slot,
             Err(e) => {
                 // Scalar parity: `AweEngine::new` fails before any
@@ -383,7 +419,7 @@ fn replay_lanes(
                 sys: slot.sys,
                 g_img: slot.g_img,
                 c_img: Some(slot.c_img),
-                primed: slot.primed,
+                program: slot.program,
                 idxs,
                 stamp: t0.elapsed(),
             });
@@ -502,8 +538,8 @@ fn scalar_fallback(
     t0: Instant,
 ) -> SolveOutcome {
     SCALAR_FALLBACKS.incr();
-    let (nets, pattern) = solve_net(job, opts, Some(seed));
-    outcome(nets, t0, Some(seed), pattern, true)
+    let solved = solve_net(job, opts, Some(seed));
+    outcome(solved.nets, t0, Some(seed), solved.pattern, true)
 }
 
 /// The scalar path's pre-solve result skeleton for one observer.

@@ -375,8 +375,13 @@ impl<'a> MomentEngine<'a> {
         }
     }
 
-    /// `C̃·x` through the sparse image when available, into a
-    /// caller-owned buffer (no allocation at capacity).
+    /// `C̃·x` through the sparse image when available (every sparse
+    /// engine, and the only `C̃` a stamped system carries), else through
+    /// the dense-LU engine's dense `C̃`; into a caller-owned buffer (no
+    /// allocation at capacity). Every moment step, the seed's charge
+    /// image included, goes through here. For finite vectors the CSC
+    /// product equals the dense one bit for bit: it adds each row's terms
+    /// in the same column order and skips only exact-zero products.
     fn c_tilde_apply_into(&self, x: &[f64], out: &mut Vec<f64>) {
         match &self.c_tilde_sparse {
             Some(sc) => sc.mul_vec_into(x, out),
@@ -1040,14 +1045,7 @@ impl<'a> MomentEngine<'a> {
                     step_span.note(step as f64, np as f64);
                     for (p, seq) in seqs.iter().enumerate() {
                         let prev = seq.last().expect("seeded sequence");
-                        // The seed's charge image uses the dense C̃ (as
-                        // the single-RHS path does via `c_tilde_times`);
-                        // later steps go through the sparse image.
-                        if step == 0 {
-                            sys.c_tilde.mul_vec_into(prev, &mut cw);
-                        } else {
-                            self.c_tilde_apply_into(prev, &mut cw);
-                        }
+                        self.c_tilde_apply_into(prev, &mut cw);
                         let chunk = &mut rhs[p * n..(p + 1) * n];
                         for (d, v) in chunk.iter_mut().zip(&cw) {
                             *d = -v;
@@ -1263,13 +1261,7 @@ pub fn decompose_lanes_with(
                 let sys = eng.system;
                 for (p, seq) in seqs[lane].iter().enumerate() {
                     let prev = seq.last().expect("seeded sequence");
-                    // Dense C̃ for the seed's charge image, sparse image
-                    // after — mirroring the scalar recursion.
-                    if step == 0 {
-                        sys.c_tilde.mul_vec_into(prev, &mut cw);
-                    } else {
-                        eng.c_tilde_apply_into(prev, &mut cw);
-                    }
+                    eng.c_tilde_apply_into(prev, &mut cw);
                     let base = lane * np * n + p * n;
                     let chunk = &mut rhs[base..base + n];
                     for (d, v) in chunk.iter_mut().zip(&cw) {

@@ -1,32 +1,45 @@
-//! Compiled stamp programs: value-only MNA re-assembly for structure
-//! groups.
+//! Compiled stamp programs: value-only MNA assembly for structure groups.
 //!
-//! A batch structure group's members share one topology; rebuilding each
+//! A batch structure group's members share one topology; building each
 //! member's [`MnaSystem`] from scratch costs `O(n²)` in dense-matrix
-//! zeroing and dense→CSC refills even though only `O(elements)` numbers
-//! actually change. A [`StampProgram`] is compiled once from the group's
-//! donor circuit: it resolves every value-bearing matrix entry to a CSC
-//! storage slot of the sparse `G̃`/`C̃` images (plus the dense `C̃`
-//! coordinate the blocked moment recursion's seed step reads) and records,
-//! per slot, the contribution list that the dense assembly would
-//! accumulate there — in element order, so replaying the program is
-//! **bit-identical** to a fresh [`MnaSystem::build`] followed by
-//! [`SparseMatrix::from_dense`].
+//! zeroing and dense→CSC conversion even though only `O(elements)`
+//! numbers actually change. A [`StampProgram`] is compiled once from the
+//! group's donor — from the system the donor's solve already assembled
+//! ([`StampProgram::compile_from`]), or from a fresh build
+//! ([`StampProgram::compile`]) — and keeps two things:
 //!
-//! The program only compiles for circuits where the replay path provably
-//! never reads the fields it leaves stale (the dense `g`, `g_tilde` and
-//! `c`): no floating groups, R/C/L/V/I elements only. It only *applies*
-//! to members that match the donor element-for-element (kind, terminals,
-//! name), carry strictly positive finite R/C/L values (so no entry can
-//! cancel to zero and change the sparsity pattern), no explicit initial
-//! conditions, and step/DC source waveforms only (ramps route through the
-//! `instantaneous` solve, which reads the stale dense `g`). Any mismatch
-//! makes [`StampProgram::apply`] decline, and the caller falls back to
-//! the full `build_reusing` path — which is bit-identical by
-//! construction, so the program is purely an optimization.
+//! * a **template**: the donor's system with its dense `n×n` `g`, `c`,
+//!   `g_tilde` and `c_tilde` emptied (the `n × sources` `B`, the unknown
+//!   numbering and the cap/inductor/source bookkeeping stay), plus the
+//!   donor's CSC `G̃`/`C̃` images as the **pattern**;
+//! * a **schedule**: every value-bearing image entry resolved to its CSC
+//!   storage slot, with the contribution list the dense assembly would
+//!   accumulate there — in element order, so the fold is **bit-identical**
+//!   to a fresh [`MnaSystem::build`] followed by
+//!   [`SparseMatrix::from_dense`].
+//!
+//! A member is stamped into buffers holding the program's structure:
+//! [`StampProgram::instantiate`] hands out a copy of the template and
+//! pattern, and [`StampProgram::apply`] folds the member's values into
+//! them. A stamped system therefore carries **no dense `n×n` matrices**:
+//! a stray read of `g`, `c`, `g_tilde` or `c_tilde` panics instead of
+//! reading another member's values. Replay reads only the CSC images,
+//! `B` and the bookkeeping.
+//!
+//! The program only compiles for circuits whose replay provably needs
+//! nothing else: no floating groups, R/C/L/V/I elements only. It only
+//! *applies* to members that match the donor element-for-element (kind,
+//! terminals, name), carry strictly positive finite R/C/L values (so no
+//! entry can cancel to zero and change the sparsity pattern), no explicit
+//! initial conditions, and step/DC source waveforms only (ramps and
+//! initial conditions route through the `instantaneous` solve, which
+//! reads the dense `g`). Any mismatch makes [`StampProgram::apply`]
+//! decline, and the caller falls back to the full `build_reusing` path —
+//! which is bit-identical by construction, so the program is purely an
+//! optimization.
 
 use awe_circuit::{Circuit, Element, NodeId, Waveform};
-use awe_numeric::SparseMatrix;
+use awe_numeric::{Matrix, SparseMatrix};
 
 use crate::system::MnaSystem;
 
@@ -39,18 +52,6 @@ struct SlotWrite {
     /// Range start in [`StampProgram::terms`].
     start: u32,
     /// Range length.
-    len: u32,
-}
-
-/// A `C̃` slot write paired with its dense coordinate (the blocked moment
-/// recursion's seed step multiplies by the *dense* `C̃`, so both copies
-/// must stay current).
-#[derive(Clone, Copy, Debug)]
-struct CSlotWrite {
-    slot: u32,
-    row: u32,
-    col: u32,
-    start: u32,
     len: u32,
 }
 
@@ -102,15 +103,16 @@ struct ElemPlan {
 #[derive(Clone, Debug)]
 pub struct StampProgram {
     num_nodes: usize,
-    num_unknowns: usize,
-    g_nnz: usize,
-    c_nnz: usize,
-    num_caps: usize,
-    num_inds: usize,
-    num_srcs: usize,
+    /// The donor's system with its dense `n×n` matrices emptied.
+    template: MnaSystem,
+    /// The donor's sparse `G̃` image: the pattern every stamped member
+    /// shares.
+    g_pattern: SparseMatrix,
+    /// The donor's sparse `C̃` image.
+    c_pattern: SparseMatrix,
     elems: Vec<ElemPlan>,
     g_writes: Vec<SlotWrite>,
-    c_writes: Vec<CSlotWrite>,
+    c_writes: Vec<SlotWrite>,
     /// Flat `(sign, element index)` pool the slot writes range into, in
     /// element order per slot — the order dense assembly accumulates.
     terms: Vec<(f64, u32)>,
@@ -130,7 +132,7 @@ fn stamp_value(el: &Element) -> f64 {
 
 /// `true` when the waveform decomposes into steps and DC only (no finite-
 /// slope segments): the gate that keeps replay off the ramp path, whose
-/// `instantaneous` solve reads the dense `g` the program leaves stale.
+/// `instantaneous` solve reads the dense `g` a stamped system lacks.
 fn steps_only(w: &Waveform) -> bool {
     w.points()
         .windows(2)
@@ -218,13 +220,22 @@ impl StampProgram {
     /// topology is outside the program's contract (floating groups,
     /// controlled sources, non-positive values, explicit initial
     /// conditions, or any coordinate whose donor entry cancelled out of
-    /// the CSC pattern). The compiled program self-checks against the
-    /// donor's own assembly bit-for-bit before it is returned.
+    /// the CSC pattern). Builds the donor's system, then compiles as
+    /// [`StampProgram::compile_from`].
     pub fn compile(circuit: &Circuit) -> Option<StampProgram> {
+        Self::compile_from(circuit, MnaSystem::build(circuit).ok()?)
+    }
+
+    /// Compiles a stamp program from a donor circuit and the system
+    /// [`MnaSystem::build`] assembled for it, which becomes the program's
+    /// template (its dense matrices are dropped once their CSC images are
+    /// taken). The compiled program self-checks against the donor's own
+    /// images bit-for-bit before it is returned. `None` as for
+    /// [`StampProgram::compile`].
+    pub fn compile_from(circuit: &Circuit, mut sys: MnaSystem) -> Option<StampProgram> {
         use std::collections::BTreeMap;
         type TermMap = BTreeMap<(usize, usize), Vec<(f64, u32)>>;
 
-        let sys = MnaSystem::build(circuit).ok()?;
         if !sys.floating.is_empty() {
             return None;
         }
@@ -349,57 +360,47 @@ impl StampProgram {
         let g_img = SparseMatrix::from_dense(&sys.g_tilde);
         let c_img = SparseMatrix::from_dense(&sys.c_tilde);
         let mut terms = Vec::new();
-        let mut g_writes = Vec::with_capacity(g_terms.len());
-        for (&(r, c), list) in &g_terms {
-            let slot = g_img.slot_of(r, c)?;
-            let start = u32::try_from(terms.len()).ok()?;
-            terms.extend_from_slice(list);
-            g_writes.push(SlotWrite {
-                slot: u32::try_from(slot).ok()?,
-                start,
-                len: list.len() as u32,
-            });
-        }
-        let mut c_writes = Vec::with_capacity(c_terms.len());
-        for (&(r, c), list) in &c_terms {
-            let slot = c_img.slot_of(r, c)?;
-            let start = u32::try_from(terms.len()).ok()?;
-            terms.extend_from_slice(list);
-            c_writes.push(CSlotWrite {
-                slot: u32::try_from(slot).ok()?,
-                row: r as u32,
-                col: c as u32,
-                start,
-                len: list.len() as u32,
-            });
+        let mut writes = |map: &TermMap, img: &SparseMatrix| -> Option<Vec<SlotWrite>> {
+            let mut out = Vec::with_capacity(map.len());
+            for (&(r, c), list) in map {
+                let slot = img.slot_of(r, c)?;
+                let start = u32::try_from(terms.len()).ok()?;
+                terms.extend_from_slice(list);
+                out.push(SlotWrite {
+                    slot: u32::try_from(slot).ok()?,
+                    start,
+                    len: list.len() as u32,
+                });
+            }
+            Some(out)
+        };
+        let g_writes = writes(&g_terms, &g_img)?;
+        let c_writes = writes(&c_terms, &c_img)?;
+        for m in [&mut sys.g, &mut sys.c, &mut sys.g_tilde, &mut sys.c_tilde] {
+            *m = Matrix::zeros(0, 0);
         }
         let prog = StampProgram {
             num_nodes: circuit.num_nodes(),
-            num_unknowns: sys.num_unknowns(),
-            g_nnz: g_img.nnz(),
-            c_nnz: c_img.nnz(),
-            num_caps: caps as usize,
-            num_inds: inds as usize,
-            num_srcs: srcs as usize,
+            template: sys,
+            g_pattern: g_img,
+            c_pattern: c_img,
             elems,
             g_writes,
             c_writes,
             terms,
         };
-        prog.self_check(circuit, &sys, &g_img, &c_img)
-            .then_some(prog)
+        prog.self_check(circuit).then_some(prog)
     }
 
     /// Unknown count of the compiled topology.
     pub fn num_unknowns(&self) -> usize {
-        self.num_unknowns
+        self.template.num_unknowns()
     }
 
     /// Whether `circuit` is admissible for [`StampProgram::apply`]:
     /// element-for-element structural match with the donor plus the value
-    /// and waveform gates. Callers priming replay buffers through the
-    /// full build path use this to decide whether those buffers can later
-    /// take the fast path.
+    /// and waveform gates. Replay uses this to decide whether a member is
+    /// stamped from the program or rebuilt in full.
     pub fn check(&self, circuit: &Circuit) -> bool {
         if circuit.num_nodes() != self.num_nodes {
             return false;
@@ -408,14 +409,26 @@ impl StampProgram {
         elems.len() == self.elems.len() && self.elems.iter().zip(elems).all(|(p, el)| p.admits(el))
     }
 
-    /// Restamps a primed system and its sparse images with `circuit`'s
-    /// values, bit-identically to a fresh `build` + `from_dense`.
-    /// `sys`/`g_img`/`c_img` must come from a circuit this program
-    /// previously admitted (their structure is the donor's); the dense
-    /// `g`, `g_tilde` and `c` are left stale, which the admission gates
-    /// guarantee no replay stage reads. Returns `false` — touching
-    /// nothing — when the member or the primed buffers are out of
-    /// contract.
+    /// Fresh buffers holding this program's structure: a copy of the
+    /// template (no dense `n×n` matrices) and of the donor's CSC images,
+    /// ready for [`StampProgram::apply`].
+    pub fn instantiate(&self) -> (MnaSystem, SparseMatrix, SparseMatrix) {
+        (
+            self.template.clone(),
+            self.g_pattern.clone(),
+            self.c_pattern.clone(),
+        )
+    }
+
+    /// Stamps `circuit`'s values into a system and its sparse images,
+    /// bit-identically to a fresh `build` + `from_dense` on every field
+    /// replay reads. `sys`/`g_img`/`c_img` must hold this program's
+    /// structure: from [`StampProgram::instantiate`], or from a build of a
+    /// circuit this program admits. Only the images, the cap/inductor
+    /// values and the source waveforms are written; the dense matrices
+    /// are left as they are (empty in an instantiated system). Returns
+    /// `false` — touching nothing — when the member or the buffers are
+    /// out of contract.
     pub fn apply(
         &self,
         circuit: &Circuit,
@@ -423,14 +436,15 @@ impl StampProgram {
         g_img: &mut SparseMatrix,
         c_img: &mut SparseMatrix,
     ) -> bool {
+        let t = &self.template;
         if !self.check(circuit)
-            || sys.num_unknowns() != self.num_unknowns
+            || sys.num_unknowns() != t.num_unknowns()
             || !sys.floating.is_empty()
-            || sys.caps.len() != self.num_caps
-            || sys.inductors.len() != self.num_inds
-            || sys.sources.len() != self.num_srcs
-            || g_img.nnz() != self.g_nnz
-            || c_img.nnz() != self.c_nnz
+            || sys.caps.len() != t.caps.len()
+            || sys.inductors.len() != t.inductors.len()
+            || sys.sources.len() != t.sources.len()
+            || g_img.nnz() != self.g_pattern.nnz()
+            || c_img.nnz() != self.c_pattern.nnz()
         {
             return false;
         }
@@ -441,9 +455,7 @@ impl StampProgram {
         }
         let cv = c_img.values_mut();
         for w in &self.c_writes {
-            let v = self.fold(elems, w.start, w.len);
-            cv[w.slot as usize] = v;
-            sys.c_tilde[(w.row as usize, w.col as usize)] = v;
+            cv[w.slot as usize] = self.fold(elems, w.start, w.len);
         }
         for (plan, el) in self.elems.iter().zip(elems) {
             match (&plan.check, el) {
@@ -491,21 +503,15 @@ impl StampProgram {
     /// every produced slot bit-for-bit with the donor's actual images —
     /// any divergence between the compiled plan and the real assembly
     /// rejects the program at compile time.
-    fn self_check(
-        &self,
-        circuit: &Circuit,
-        sys: &MnaSystem,
-        g_img: &SparseMatrix,
-        c_img: &SparseMatrix,
-    ) -> bool {
+    fn self_check(&self, circuit: &Circuit) -> bool {
         let elems = circuit.elements();
-        self.g_writes.iter().all(|w| {
-            self.fold(elems, w.start, w.len).to_bits() == g_img.values()[w.slot as usize].to_bits()
-        }) && self.c_writes.iter().all(|w| {
-            let v = self.fold(elems, w.start, w.len);
-            v.to_bits() == c_img.values()[w.slot as usize].to_bits()
-                && v.to_bits() == sys.c_tilde[(w.row as usize, w.col as usize)].to_bits()
-        })
+        let agrees = |writes: &[SlotWrite], img: &SparseMatrix| {
+            writes.iter().all(|w| {
+                self.fold(elems, w.start, w.len).to_bits()
+                    == img.values()[w.slot as usize].to_bits()
+            })
+        };
+        agrees(&self.g_writes, &self.g_pattern) && agrees(&self.c_writes, &self.c_pattern)
     }
 }
 
@@ -535,11 +541,12 @@ mod tests {
     }
 
     /// Applying the program to a primed system must equal a fresh build
-    /// bit-for-bit on every field the replay path reads.
+    /// bit-for-bit on every field the replay path reads — and so must
+    /// stamping into a never-primed slot from the program's template.
     fn assert_apply_matches_build(donor: &Circuit, member: &Circuit) {
         let prog = StampProgram::compile(donor).expect("donor compiles");
-        // Prime from the donor (the replay path primes from whichever
-        // member last went through the full build).
+        // Prime from the donor (a slot built from an admitted circuit
+        // holds the program's structure too).
         let mut sys = MnaSystem::build(donor).unwrap();
         let mut g_img = SparseMatrix::from_dense(&sys.g_tilde);
         let mut c_img = SparseMatrix::from_dense(&sys.c_tilde);
@@ -550,7 +557,6 @@ mod tests {
         let fc = SparseMatrix::from_dense(&fresh.c_tilde);
         assert_eq!(g_img, fg, "sparse G-tilde image");
         assert_eq!(c_img, fc, "sparse C-tilde image");
-        assert_eq!(sys.c_tilde, fresh.c_tilde, "dense C-tilde");
         assert_eq!(sys.b, fresh.b, "B is topology-only");
         for (a, b) in sys.caps.iter().zip(&fresh.caps) {
             assert_eq!(a.farads.to_bits(), b.farads.to_bits());
@@ -562,6 +568,68 @@ mod tests {
         for (a, b) in sys.sources.iter().zip(&fresh.sources) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.waveform, b.waveform);
+        }
+
+        // A never-primed slot: the template carries the structure.
+        let (mut sys, mut g_img, mut c_img) = prog.instantiate();
+        assert!(prog.apply(member, &mut sys, &mut g_img, &mut c_img));
+        assert_stamped_equals_build(member, &sys, &g_img, &c_img);
+    }
+
+    /// A template-stamped system equals a fresh build + `from_dense` on
+    /// everything replay reads, and holds no dense `n×n` matrix.
+    fn assert_stamped_equals_build(
+        member: &Circuit,
+        sys: &MnaSystem,
+        g_img: &SparseMatrix,
+        c_img: &SparseMatrix,
+    ) {
+        let fresh = MnaSystem::build(member).unwrap();
+        let bits = |m: &SparseMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (fg, fc) = (
+            SparseMatrix::from_dense(&fresh.g_tilde),
+            SparseMatrix::from_dense(&fresh.c_tilde),
+        );
+        assert_eq!(g_img, &fg, "sparse G-tilde image");
+        assert_eq!(bits(g_img), bits(&fg), "G-tilde bits");
+        assert_eq!(c_img, &fc, "sparse C-tilde image");
+        assert_eq!(bits(c_img), bits(&fc), "C-tilde bits");
+        assert_eq!(sys.b, fresh.b, "B");
+        assert_eq!(sys.num_unknowns(), fresh.num_unknowns());
+        for node in 0..=member.num_nodes() {
+            assert_eq!(sys.unknown_of_node(node), fresh.unknown_of_node(node));
+        }
+        for el in member.elements() {
+            assert_eq!(sys.branch_of(el.name()), fresh.branch_of(el.name()));
+        }
+        assert!(sys.floating.is_empty() && fresh.floating.is_empty());
+        assert_eq!(sys.caps.len(), fresh.caps.len());
+        for (a, b) in sys.caps.iter().zip(&fresh.caps) {
+            assert_eq!((a.ia, a.ib, a.element), (b.ia, b.ib, b.element));
+            assert_eq!(a.farads.to_bits(), b.farads.to_bits());
+            assert_eq!(a.initial_voltage, b.initial_voltage);
+        }
+        assert_eq!(sys.inductors.len(), fresh.inductors.len());
+        for (a, b) in sys.inductors.iter().zip(&fresh.inductors) {
+            assert_eq!(
+                (a.branch, a.ia, a.ib, a.element),
+                (b.branch, b.ia, b.ib, b.element)
+            );
+            assert_eq!(a.henries.to_bits(), b.henries.to_bits());
+            assert_eq!(a.initial_current, b.initial_current);
+        }
+        assert_eq!(sys.sources.len(), fresh.sources.len());
+        for (a, b) in sys.sources.iter().zip(&fresh.sources) {
+            assert_eq!((&a.name, a.element), (&b.name, b.element));
+            assert_eq!(a.waveform, b.waveform);
+        }
+        for (name, m) in [
+            ("g", &sys.g),
+            ("c", &sys.c),
+            ("g_tilde", &sys.g_tilde),
+            ("c_tilde", &sys.c_tilde),
+        ] {
+            assert_eq!((m.rows(), m.cols()), (0, 0), "dense {name} must be empty");
         }
     }
 
@@ -618,7 +686,8 @@ mod tests {
             (sys, g, c)
         };
 
-        // Ramp waveform: instantaneous() would read the stale dense g.
+        // Ramp waveform: instantaneous() would read the dense g a stamped
+        // system lacks.
         let mut ramp = donor.circuit.clone();
         ramp.set_source("V1", Waveform::rising_step(0.0, 5.0, 1e-9))
             .unwrap();

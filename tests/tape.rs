@@ -300,3 +300,31 @@ fn dense_groups_take_the_scalar_path() {
         }
     }
 }
+
+/// Every member after the donor is stamped from the group's stamp
+/// program — never rebuilt, not even into a worker's never-used lane
+/// slots — and the results stay bit-identical to the tape-off run.
+/// Seventeen chains give each worker more than one lane block.
+#[test]
+fn every_member_after_the_donor_is_stamped_from_the_program() {
+    for seed in [5, 23] {
+        let design = Design::synthetic_chains(17, 200, seed);
+        let off = BatchEngine::new().run(&design, &opts(false));
+        for threads in [1, 4] {
+            let on = BatchEngine::new().run(
+                &design,
+                &BatchOptions {
+                    threads,
+                    ..opts(true)
+                },
+            );
+            assert_bit_identical(&on, &off);
+            assert_eq!(on.scalar_fallbacks, 0);
+            assert_eq!(on.rebuilt, 0, "seed {seed}, {threads} threads");
+            assert_eq!(on.stamped, on.solves - 1, "seed {seed}, {threads} threads");
+            for r in &on.results {
+                assert!(r.error.is_none(), "{}: {:?}", r.name, r.error);
+            }
+        }
+    }
+}
