@@ -177,6 +177,10 @@ pub struct BatchRun {
     /// Group tapes compiled this run (runs replaying a cached tape
     /// compile nothing).
     pub tapes_compiled: usize,
+    /// Worst fill ratio `nnz(L+U) / nnz(G̃)` among the tapes compiled
+    /// this run (`None` when none compiled): how much a lane refactor or
+    /// moment solve of that group costs over a product with `G̃`.
+    pub fill_ratio: Option<f64>,
     /// Tape replay invocations (one per scheduled member block).
     pub tape_replays: usize,
     /// Multi-lane blocks executed through the sparse lane kernel.
@@ -395,7 +399,8 @@ impl BatchEngine {
         // is already cached (an earlier run) skip straight to replay;
         // singleton groups pay nothing here.
         let tape_on = tape::tape_applicable(opts);
-        let mut tapes_compiled = 0usize;
+        // Fill ratio of each tape compiled this run.
+        let mut compiled: Vec<f64> = Vec::new();
         let mut outcomes: Vec<(u64, usize, SolveOutcome)> = Vec::new();
         let mut presolved: Vec<usize> = Vec::new();
         for i in 0..plan.len() {
@@ -428,7 +433,7 @@ impl BatchEngine {
                 if tape_on {
                     // The group's tape compiles from the system the donor
                     // just assembled: no second dense build.
-                    tapes_compiled += 1;
+                    compiled.push(p.fill_ratio());
                     let system = solved.engine.map(AweEngine::into_system);
                     let t = tape::compile(key, Some(solve_circuit(i)), system, p.clone());
                     self.tapes
@@ -490,7 +495,7 @@ impl BatchEngine {
                 {
                     Some(t) => t.clone(),
                     None => {
-                        tapes_compiled += 1;
+                        compiled.push(symbolic.fill_ratio());
                         // A pattern cached by an earlier run: the first
                         // member stands in as the group's donor for
                         // stamp-program compilation (any member works:
@@ -674,7 +679,8 @@ impl BatchEngine {
             shared,
             cache_hits,
             pattern_hits,
-            tapes_compiled,
+            tapes_compiled: compiled.len(),
+            fill_ratio: compiled.into_iter().reduce(f64::max),
             tape_replays,
             lane_blocks: replay.lane_blocks,
             lane_lanes: replay.lane_lanes,

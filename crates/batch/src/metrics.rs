@@ -39,6 +39,9 @@ pub struct RunMetrics {
     pub pattern_hits: usize,
     /// Group tapes compiled this run (cache-served tapes compile nothing).
     pub tapes_compiled: usize,
+    /// Worst fill ratio `nnz(L+U) / nnz(G̃)` among the tapes compiled
+    /// (`None` when none compiled).
+    pub fill_ratio: Option<f64>,
     /// Tape replay invocations (one per scheduled member block).
     pub tape_replays: usize,
     /// Mean live-lane occupancy of the sparse lane blocks executed, in
@@ -118,6 +121,7 @@ impl RunMetrics {
             cache_hits: run.cache_hits,
             pattern_hits: run.pattern_hits,
             tapes_compiled: run.tapes_compiled,
+            fill_ratio: run.fill_ratio,
             tape_replays: run.tape_replays,
             lane_occupancy: (run.lane_blocks > 0).then(|| {
                 run.lane_lanes as f64 / (run.lane_blocks * awe_numeric::LANE_WIDTH) as f64

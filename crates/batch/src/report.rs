@@ -64,18 +64,7 @@ pub fn text_report(run: &BatchRun, include_timings: bool) -> String {
         let _ = writeln!(out, "stages (cpu):  {}", stage_line(&m.stages_cpu));
         let _ = writeln!(out, "stages (wall): {}", stage_line(&m.stages_wall));
         let _ = writeln!(out, "pattern-hits {}", m.pattern_hits);
-        let _ = writeln!(
-            out,
-            "tapes compiled {}  replays {}  lane-occupancy {}  scalar-fallbacks {}  \
-             stamped {}  rebuilt {}",
-            m.tapes_compiled,
-            m.tape_replays,
-            m.lane_occupancy
-                .map_or("-".to_string(), |o| format!("{:.0} %", 100.0 * o)),
-            m.scalar_fallbacks,
-            m.stamped,
-            m.rebuilt
-        );
+        let _ = writeln!(out, "{}", tape_line(&m));
         let _ = writeln!(
             out,
             "threads {}  steals {}  per-worker {:?}",
@@ -85,6 +74,37 @@ pub fn text_report(run: &BatchRun, include_timings: bool) -> String {
         );
     }
     out
+}
+
+/// The timed `tape` line of the batch and sweep text reports.
+fn tape_line(m: &RunMetrics) -> String {
+    format!(
+        "tapes compiled {}  fill-ratio {}  replays {}  lane-occupancy {}  scalar-fallbacks {}  \
+         stamped {}  rebuilt {}",
+        m.tapes_compiled,
+        m.fill_ratio.map_or("-".to_string(), |f| format!("{f:.2}")),
+        m.tape_replays,
+        m.lane_occupancy
+            .map_or("-".to_string(), |o| format!("{:.0} %", 100.0 * o)),
+        m.scalar_fallbacks,
+        m.stamped,
+        m.rebuilt
+    )
+}
+
+/// The timed `tape` object of the batch and sweep JSON reports.
+fn tape_json(m: &RunMetrics) -> String {
+    format!(
+        "{{\"compiled\": {}, \"fill_ratio\": {}, \"replays\": {}, \"lane_occupancy\": {}, \
+         \"scalar_fallbacks\": {}, \"stamped\": {}, \"rebuilt\": {}}}",
+        m.tapes_compiled,
+        json_opt_f64(m.fill_ratio),
+        m.tape_replays,
+        json_opt_f64(m.lane_occupancy),
+        m.scalar_fallbacks,
+        m.stamped,
+        m.rebuilt
+    )
 }
 
 fn stage_line(s: &awe::StageTimings) -> String {
@@ -156,17 +176,7 @@ pub fn json_report(run: &BatchRun, include_timings: bool) -> String {
         let _ = writeln!(out, "  \"stages_cpu_s\": {},", stage_json(&m.stages_cpu));
         let _ = writeln!(out, "  \"stages_wall_s\": {},", stage_json(&m.stages_wall));
         let _ = writeln!(out, "  \"pattern_hits\": {},", m.pattern_hits);
-        let _ = writeln!(
-            out,
-            "  \"tape\": {{\"compiled\": {}, \"replays\": {}, \"lane_occupancy\": {}, \
-             \"scalar_fallbacks\": {}, \"stamped\": {}, \"rebuilt\": {}}},",
-            m.tapes_compiled,
-            m.tape_replays,
-            json_opt_f64(m.lane_occupancy),
-            m.scalar_fallbacks,
-            m.stamped,
-            m.rebuilt
-        );
+        let _ = writeln!(out, "  \"tape\": {},", tape_json(&m));
         let _ = writeln!(
             out,
             "  \"pool\": {{\"threads\": {}, \"steals\": {}}},",
@@ -238,19 +248,7 @@ pub fn sweep_text_report(sweep: &SweepRun, include_timings: bool) -> String {
             m.batch.nets_per_sec
         );
         let _ = writeln!(out, "stages (cpu):  {}", stage_line(&m.batch.stages_cpu));
-        let _ = writeln!(
-            out,
-            "tapes compiled {}  replays {}  lane-occupancy {}  scalar-fallbacks {}  \
-             stamped {}  rebuilt {}",
-            m.batch.tapes_compiled,
-            m.batch.tape_replays,
-            m.batch
-                .lane_occupancy
-                .map_or("-".to_string(), |o| format!("{:.0} %", 100.0 * o)),
-            m.batch.scalar_fallbacks,
-            m.batch.stamped,
-            m.batch.rebuilt
-        );
+        let _ = writeln!(out, "{}", tape_line(&m.batch));
         let _ = writeln!(
             out,
             "threads {}  steals {}",
@@ -302,17 +300,7 @@ pub fn sweep_json_report(sweep: &SweepRun, include_timings: bool) -> String {
             "  \"corners_per_sec\": {},",
             json_f64(m.corners_per_sec)
         );
-        let _ = writeln!(
-            out,
-            "  \"tape\": {{\"compiled\": {}, \"replays\": {}, \"lane_occupancy\": {}, \
-             \"scalar_fallbacks\": {}, \"stamped\": {}, \"rebuilt\": {}}},",
-            m.batch.tapes_compiled,
-            m.batch.tape_replays,
-            json_opt_f64(m.batch.lane_occupancy),
-            m.batch.scalar_fallbacks,
-            m.batch.stamped,
-            m.batch.rebuilt
-        );
+        let _ = writeln!(out, "  \"tape\": {},", tape_json(&m.batch));
         let _ = writeln!(
             out,
             "  \"pool\": {{\"threads\": {}, \"steals\": {}}},",

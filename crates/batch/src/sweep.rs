@@ -241,11 +241,10 @@ pub fn corner_circuit(
         return Ok(out);
     }
     let mut state = spec.seed ^ corner as u64;
-    let mut edits: Vec<(&str, f64)> = Vec::new();
-    for el in base.elements() {
+    for (idx, el) in base.elements().iter().enumerate() {
         let (name, value) = match el {
-            Element::Resistor { name, ohms, .. } => (name.as_str(), *ohms),
-            Element::Capacitor { name, farads, .. } => (name.as_str(), *farads),
+            Element::Resistor { name, ohms, .. } => (name, *ohms),
+            Element::Capacitor { name, farads, .. } => (name, *farads),
             _ => continue,
         };
         let perturbed = value * (1.0 + spec.sigma * normal(&mut state));
@@ -253,14 +252,11 @@ pub fn corner_circuit(
             return Err(CornerError {
                 corner,
                 net: String::new(),
-                element: name.to_string(),
+                element: name.clone(),
                 value: perturbed,
             });
         }
-        edits.push((name, perturbed));
-    }
-    for (name, v) in edits {
-        out.set_value(name, v)
+        out.set_value_at(idx, perturbed)
             .expect("validated value on an existing element");
     }
     Ok(out)

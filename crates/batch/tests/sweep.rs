@@ -10,6 +10,8 @@ use awe_batch::{
     Design,
 };
 use awe_circuit::pdn::PdnSpec;
+use awe_circuit::Circuit;
+use awe_mna::{MnaSystem, MomentEngine};
 
 fn opts(threads: usize) -> BatchOptions {
     BatchOptions {
@@ -149,4 +151,34 @@ fn nonphysical_corners_are_rejected_not_cascaded() {
             assert!(q.is_finite(), "quantiles must stay NaN-free");
         }
     }
+}
+
+/// Fill ratio `nnz(L+U) / nnz(G̃)` of the cold symbolic analysis
+/// `MomentEngine::with_pattern` runs on `circuit`: the pattern every
+/// donor, lane refactor and moment solve of its structure group inherits.
+fn fill_ratio(circuit: &Circuit) -> f64 {
+    let sys = MnaSystem::build(circuit).expect("assembles");
+    let engine = MomentEngine::with_pattern(&sys, None).expect("factors");
+    engine.lu_symbolic().expect("sparse path").fill_ratio()
+}
+
+#[test]
+fn pdn_mesh_fill_stays_low() {
+    // The 40×40, strap-pitch-5 mesh of the benchmark's corner sweep: a
+    // banded order fills 22.9× here, minimum degree under 8×.
+    let spec = PdnSpec {
+        strap_pitch: 5,
+        ..PdnSpec::square(40)
+    };
+    let design = pdn_design("pdn-40x40", &spec);
+    let fill = fill_ratio(&design.nets()[0].circuit);
+    assert!(fill <= 8.0, "40×40 PDN fill {fill}");
+}
+
+#[test]
+fn chain_fill_stays_one() {
+    // A 200-stage RC chain eliminated leaf-first fills nothing.
+    let design = Design::synthetic_chains(1, 200, 7);
+    let fill = fill_ratio(&design.nets()[0].circuit);
+    assert_eq!(fill, 1.0, "200-stage chain fill");
 }

@@ -698,7 +698,7 @@ pub fn scaling_tree_walk() -> String {
     let _ = writeln!(
         out,
         "Scaling — tree walk vs sparse/dense MNA moment engines, random RC trees\n\
-         (the MNA engine switches to the RCM-ordered sparse LU above 192\n\
+         (the MNA engine switches to the AMD-ordered sparse LU above 192\n\
          unknowns; `dense` forces the O(n³) path for comparison)"
     );
     let _ = writeln!(

@@ -573,17 +573,34 @@ impl Circuit {
             .element_names
             .get(name)
             .ok_or_else(|| CircuitError::NoSuchElement(name.to_owned()))?;
+        self.set_value_at(idx, value)
+    }
+
+    /// [`Circuit::set_value`] for the element at `index` in
+    /// [`Circuit::elements`], without the name lookup — for callers that
+    /// walk the element list anyway, as a corner sweep perturbing every
+    /// R and C does.
+    ///
+    /// # Errors
+    ///
+    /// As [`Circuit::set_value`]; an `index` past the end is
+    /// [`CircuitError::NoSuchElement`] naming `#index`.
+    pub fn set_value_at(&mut self, index: usize, value: f64) -> Result<(), CircuitError> {
+        let el = self
+            .elements
+            .get_mut(index)
+            .ok_or_else(|| CircuitError::NoSuchElement(format!("#{index}")))?;
         let positive = matches!(
-            self.elements[idx],
+            el,
             Element::Resistor { .. } | Element::Capacitor { .. } | Element::Inductor { .. }
         );
         if positive && value <= 0.0 {
             return Err(CircuitError::NonPositiveValue {
-                element: name.to_owned(),
+                element: el.name().to_owned(),
                 value,
             });
         }
-        match &mut self.elements[idx] {
+        match el {
             Element::Resistor { ohms, .. } => *ohms = value,
             Element::Capacitor { farads, .. } => *farads = value,
             Element::Inductor { henries, .. } => *henries = value,
@@ -591,9 +608,9 @@ impl Circuit {
             Element::Vcvs { gain, .. } => *gain = value,
             Element::Cccs { gain, .. } => *gain = value,
             Element::Ccvs { r, .. } => *r = value,
-            Element::VoltageSource { .. } | Element::CurrentSource { .. } => {
+            Element::VoltageSource { name, .. } | Element::CurrentSource { name, .. } => {
                 return Err(CircuitError::WrongKind {
-                    element: name.to_owned(),
+                    element: name.clone(),
                     expected: "a resizable element (R/C/L/G/E/F/H)",
                 })
             }
@@ -888,6 +905,21 @@ mod tests {
         ));
         assert!(matches!(
             c.set_value("X9", 1.0),
+            Err(CircuitError::NoSuchElement(_))
+        ));
+        // By index: the same edit and the same checks, no name lookup.
+        let r1 = c.elements().iter().position(|e| e.name() == "R1").unwrap();
+        c.set_value_at(r1, 4.7e3).unwrap();
+        assert!(matches!(
+            c.element("R1"),
+            Some(Element::Resistor { ohms, .. }) if *ohms == 4.7e3
+        ));
+        assert!(matches!(
+            c.set_value_at(r1, -1.0),
+            Err(CircuitError::NonPositiveValue { ref element, .. }) if element == "R1"
+        ));
+        assert!(matches!(
+            c.set_value_at(c.elements().len(), 1.0),
             Err(CircuitError::NoSuchElement(_))
         ));
     }

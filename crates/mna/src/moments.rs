@@ -136,7 +136,7 @@ struct Proto {
 }
 
 /// The conductance factorization: dense LU for small systems, sparse
-/// Gilbert–Peierls LU (with RCM column ordering) once the system is large
+/// Gilbert–Peierls LU (with AMD column ordering) once the system is large
 /// and sparse enough for the fill-aware path to win.
 enum Factorization {
     Dense(Lu),
@@ -286,7 +286,7 @@ impl<'a> MomentEngine<'a> {
         // Factor the charge-aware G̃ (identical to G without floating
         // groups): the §3.1 charge-conservation rows make circuits with
         // capacitor-only nodes solvable. Large sparse systems go through
-        // the RCM-ordered Gilbert–Peierls factorization; anything else —
+        // the AMD-ordered Gilbert–Peierls factorization; anything else —
         // including a sparse-path failure — uses dense LU.
         let n = system.num_unknowns();
         if let Some(sym) = pattern {
@@ -306,7 +306,7 @@ impl<'a> MomentEngine<'a> {
             let sg = SparseMatrix::from_dense(&system.g_tilde);
             let density = sg.nnz() as f64 / (n as f64 * n as f64);
             if density < 0.05 {
-                let order = sg.rcm_column_order().ok();
+                let order = sg.amd_column_order().ok();
                 if let Ok(lu) = SparseLu::factor(&sg, order.as_deref()) {
                     return Ok(MomentEngine {
                         system,
@@ -674,7 +674,7 @@ impl<'a> MomentEngine<'a> {
             for (r, s) in rhs.iter_mut().zip(&a.equilibrate_rows()) {
                 *r *= s;
             }
-            SparseLu::factor(&a, a.rcm_column_order().ok().as_deref())?.solve(&rhs)?
+            SparseLu::factor(&a, a.amd_column_order().ok().as_deref())?.solve(&rhs)?
         } else {
             Lu::factor(&a.to_dense())?.solve(&rhs)?
         };

@@ -46,6 +46,7 @@
 #![allow(clippy::needless_range_loop)]
 #![forbid(unsafe_code)]
 
+mod amd;
 mod clinalg;
 mod complex;
 mod eigen;

@@ -273,67 +273,6 @@ impl SparseMatrix {
         SparseMatrix::from_triplets(self.rows, self.cols, &triplets)
     }
 
-    /// Reverse Cuthill–McKee ordering of the symmetrized sparsity pattern
-    /// — a classic bandwidth/fill-reducing permutation for the tree- and
-    /// mesh-like structures circuit matrices have. Returns `new_of_old`.
-    ///
-    /// # Errors
-    ///
-    /// [`NumericError::NotSquare`] for non-square matrices.
-    pub fn rcm_ordering(&self) -> Result<Vec<usize>, NumericError> {
-        if self.rows != self.cols {
-            return Err(NumericError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        let n = self.rows;
-        // Symmetrized adjacency (pattern of A + Aᵀ, sans diagonal).
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for j in 0..n {
-            for k in self.col_ptr[j]..self.col_ptr[j + 1] {
-                let i = self.row_idx[k];
-                if i != j {
-                    adj[i].push(j);
-                    adj[j].push(i);
-                }
-            }
-        }
-        for a in &mut adj {
-            a.sort_unstable();
-            a.dedup();
-        }
-        let degree: Vec<usize> = adj.iter().map(Vec::len).collect();
-
-        let mut order = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        // Process components, starting each from a minimum-degree node.
-        loop {
-            let start = (0..n).filter(|&v| !visited[v]).min_by_key(|&v| degree[v]);
-            let Some(start) = start else { break };
-            let mut queue = std::collections::VecDeque::new();
-            visited[start] = true;
-            queue.push_back(start);
-            while let Some(u) = queue.pop_front() {
-                order.push(u);
-                let mut nbrs: Vec<usize> =
-                    adj[u].iter().copied().filter(|&v| !visited[v]).collect();
-                nbrs.sort_by_key(|&v| degree[v]);
-                for v in nbrs {
-                    visited[v] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-        // Reverse for RCM; convert old-order list to new_of_old.
-        order.reverse();
-        let mut new_of_old = vec![0usize; n];
-        for (new, &old) in order.iter().enumerate() {
-            new_of_old[old] = new;
-        }
-        Ok(new_of_old)
-    }
-
     /// Scales every row to an inf-norm in `[1, 2)` by an exact power of
     /// two, in place, and returns the scales.
     ///
@@ -358,20 +297,29 @@ impl SparseMatrix {
         scales
     }
 
-    /// The RCM ordering as a column elimination order for
-    /// [`crate::SparseLu::factor`]: `order[k]` is the original column
-    /// eliminated `k`-th (the inverse of [`SparseMatrix::rcm_ordering`]).
+    /// Approximate-minimum-degree column elimination order of the
+    /// symmetrized pattern `A + Aᵀ`, for [`crate::SparseLu::factor`]:
+    /// `order[k]` is the original column eliminated `k`-th.
+    ///
+    /// The order (Amestoy, Davis & Duff's AMD on a quotient graph) keeps
+    /// `L + U` fill near `n log n` on power grids and at zero on trees
+    /// and chains. It depends only on the sparsity pattern, ties going to
+    /// the lowest index, so equal patterns always order alike. Recorded
+    /// as the `lu.order` span.
     ///
     /// # Errors
     ///
     /// [`NumericError::NotSquare`] for non-square matrices.
-    pub fn rcm_column_order(&self) -> Result<Vec<usize>, NumericError> {
-        let new_of_old = self.rcm_ordering()?;
-        let mut order = vec![0usize; new_of_old.len()];
-        for (old, &new) in new_of_old.iter().enumerate() {
-            order[new] = old;
+    pub fn amd_column_order(&self) -> Result<Vec<usize>, NumericError> {
+        if self.rows != self.cols {
+            return Err(NumericError::NotSquare {
+                rows: self.rows,
+                cols: self.cols,
+            });
         }
-        Ok(order)
+        let mut sp = awe_obs::span("lu.order");
+        sp.note(self.rows as f64, self.nnz() as f64);
+        Ok(crate::amd::amd_order(self))
     }
 }
 
@@ -459,35 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn rcm_reduces_bandwidth_of_a_path() {
-        // A path graph numbered badly: 0-4-1-3-2 chain.
-        let edges = [(0usize, 4usize), (4, 1), (1, 3), (3, 2)];
-        let mut t = Vec::new();
-        for &(a, b) in &edges {
-            t.push((a, b, 1.0));
-            t.push((b, a, 1.0));
-        }
-        for i in 0..5 {
-            t.push((i, i, 4.0));
-        }
-        let s = SparseMatrix::from_triplets(5, 5, &t);
-        let perm = s.rcm_ordering().unwrap();
-        let p = s.permute_symmetric(&perm);
-        // Bandwidth of the permuted matrix should be 1 (a path renumbered
-        // consecutively).
-        let d = p.to_dense();
-        let mut bw = 0usize;
-        for i in 0..5 {
-            for j in 0..5 {
-                if d[(i, j)] != 0.0 {
-                    bw = bw.max(i.abs_diff(j));
-                }
-            }
-        }
-        assert_eq!(bw, 1, "permuted matrix should be tridiagonal");
-    }
-
-    #[test]
     fn fingerprint_tracks_structure_not_values() {
         let a = SparseMatrix::from_triplets(3, 3, &[(0, 0, 1.0), (1, 1, 2.0), (2, 0, 3.0)]);
         let same_structure =
@@ -539,20 +458,52 @@ mod tests {
     }
 
     #[test]
-    fn rcm_handles_disconnected_components() {
+    fn amd_handles_disconnected_components() {
         let s = SparseMatrix::from_triplets(
             4,
             4,
             &[(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)],
         );
-        let perm = s.rcm_ordering().unwrap();
-        let mut sorted = perm.clone();
+        let mut sorted = s.amd_column_order().unwrap();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3]);
-        let order = s.rcm_column_order().unwrap();
-        for (old, &new) in perm.iter().enumerate() {
-            assert_eq!(order[new], old);
+        assert!(matches!(
+            SparseMatrix::from_triplets(2, 3, &[]).amd_column_order(),
+            Err(NumericError::NotSquare { rows: 2, cols: 3 })
+        ));
+    }
+
+    #[test]
+    fn amd_order_ignores_assembly_order() {
+        // A 6×6 grid with a voltage-source-like zero-diagonal border row,
+        // assembled once row by row and once in a scrambled order with
+        // duplicate contributions: one pattern, one permutation.
+        let (k, n) = (6usize, 37usize);
+        let mut t = Vec::new();
+        for r in 0..k {
+            for c in 0..k {
+                let u = r * k + c;
+                t.push((u, u, 4.0));
+                if c + 1 < k {
+                    t.extend([(u, u + 1, -1.0), (u + 1, u, -1.0)]);
+                }
+                if r + 1 < k {
+                    t.extend([(u, u + k, -1.0), (u + k, u, -1.0)]);
+                }
+            }
         }
+        t.extend([(0, 36, 1.0), (36, 0, 1.0)]);
+        let mut shuffled: Vec<_> = t.iter().rev().copied().collect();
+        shuffled.rotate_left(17);
+        let half: Vec<_> = shuffled.iter().map(|&(i, j, v)| (i, j, v / 2.0)).collect();
+        let twice: Vec<_> = half.iter().chain(&half).copied().collect();
+        let a = SparseMatrix::from_triplets(n, n, &t);
+        let b = SparseMatrix::from_triplets(n, n, &twice);
+        let order = a.amd_column_order().unwrap();
+        assert_eq!(order, b.amd_column_order().unwrap());
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..n).collect::<Vec<_>>());
     }
 
     #[test]

@@ -79,8 +79,8 @@ pub(crate) const REFACTOR_ADMISSIBILITY: f64 = 1e-10;
 /// Sparse LU factors `P·A·Q = L·U` with threshold partial pivoting.
 ///
 /// `P` comes from the pivoting, `Q` is the caller-supplied (or identity)
-/// column order — pass an RCM order from
-/// [`SparseMatrix::rcm_ordering`] to keep fill low on circuit matrices.
+/// column order — pass [`SparseMatrix::amd_column_order`] to keep fill
+/// low on circuit matrices.
 ///
 /// The factorization is two-phase: the symbolic half (pattern, pivot
 /// order) lives in a shared [`LuSymbolic`], the numeric half (values) in
@@ -328,6 +328,7 @@ impl SparseLu {
                 l_rows,
                 u_ptr,
                 u_pos,
+                a_nnz: a.nnz(),
                 fingerprint: a.pattern_fingerprint(),
                 pivot_threshold: PIVOT_THRESHOLD,
             }),
@@ -774,8 +775,8 @@ mod tests {
     }
 
     #[test]
-    fn rcm_ordering_cuts_fill_on_a_grid() {
-        // 2-D grid Laplacian with scrambled numbering: RCM should reduce
+    fn amd_ordering_cuts_fill_on_a_grid() {
+        // 2-D grid Laplacian with scrambled numbering: AMD should reduce
         // factor fill versus the scrambled natural order.
         let (rows, cols) = (8usize, 8usize);
         let n = rows * cols;
@@ -799,21 +800,18 @@ mod tests {
         }
         let s = SparseMatrix::from_triplets(n, n, &t);
         let natural = SparseLu::factor(&s, None).unwrap();
-        let rcm_new_of_old = s.rcm_ordering().unwrap();
-        // Column order = old columns sorted by new position.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&old| rcm_new_of_old[old]);
-        let rcm = SparseLu::factor(&s, Some(&order)).unwrap();
+        let order = s.amd_column_order().unwrap();
+        let amd = SparseLu::factor(&s, Some(&order)).unwrap();
         assert!(
-            rcm.factor_nnz() < natural.factor_nnz(),
-            "RCM fill {} should beat scrambled {}",
-            rcm.factor_nnz(),
+            amd.factor_nnz() < natural.factor_nnz(),
+            "AMD fill {} should beat scrambled {}",
+            amd.factor_nnz(),
             natural.factor_nnz()
         );
         // And both solve correctly.
         let b: Vec<f64> = (0..n).map(|i| (i % 5) as f64 - 2.0).collect();
         let xa = natural.solve(&b).unwrap();
-        let xb = rcm.solve(&b).unwrap();
+        let xb = amd.solve(&b).unwrap();
         let ra = s.mul_vec(&xa);
         for ((p, q), bb) in ra.iter().zip(s.mul_vec(&xb)).zip(&b) {
             assert!((p - bb).abs() < 1e-9);

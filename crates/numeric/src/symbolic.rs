@@ -44,6 +44,8 @@ pub struct LuSymbolic {
     /// sweep replays updates straight off it.
     pub(crate) u_ptr: Vec<usize>,
     pub(crate) u_pos: Vec<usize>,
+    /// Stored entries of the analysed matrix.
+    pub(crate) a_nnz: usize,
     /// [`SparseMatrix::pattern_fingerprint`] of the analysed matrix.
     pub(crate) fingerprint: u64,
     /// Threshold used for diagonal-preference pivoting at analysis time.
@@ -68,6 +70,13 @@ impl LuSymbolic {
     /// diagonals — the fill this pattern commits any refactorization to.
     pub fn pattern_nnz(&self) -> usize {
         self.l_rows.len() + self.u_pos.len() + self.n
+    }
+
+    /// Fill ratio `pattern_nnz / nnz(A)` of the analysed matrix `A`: how
+    /// much more a factor, refactor or triangular solve under this
+    /// pattern costs than a product with `A` (1.0 on trees and chains).
+    pub fn fill_ratio(&self) -> f64 {
+        self.pattern_nnz() as f64 / self.a_nnz.max(1) as f64
     }
 
     /// Pivot threshold recorded at analysis time.
@@ -181,6 +190,7 @@ mod tests {
         assert_eq!(sym.pivot_rows().len(), 3);
         assert_eq!(sym.fingerprint(), a.pattern_fingerprint());
         assert_eq!(sym.pattern_nnz(), lu.factor_nnz());
+        assert_eq!(sym.fill_ratio(), 7.0 / 6.0);
         assert!(sym.pivot_threshold() > 0.0);
         assert!(sym.check_matches(&a).is_ok());
     }

@@ -240,9 +240,9 @@ proptest! {
         }
     }
 
-    /// RCM produces a valid permutation and never breaks the solve.
+    /// AMD produces a valid permutation and never breaks the solve.
     #[test]
-    fn rcm_permutation_is_valid(n in 2usize..40, seed in 0u64..5_000) {
+    fn amd_permutation_is_valid(n in 2usize..40, seed in 0u64..5_000) {
         use awe_numeric::SparseMatrix;
         let mut triplets = Vec::new();
         for i in 0..n {
@@ -254,7 +254,7 @@ proptest! {
             }
         }
         let s = SparseMatrix::from_triplets(n, n, &triplets);
-        let perm = s.rcm_ordering().expect("square");
+        let perm = s.amd_column_order().expect("square");
         let mut sorted = perm.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
@@ -267,13 +267,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Sparse LU *with the RCM elimination order* matches dense LU on
+    /// Sparse LU *with the AMD elimination order* matches dense LU on
     /// random SPD systems — the exact pairing the verify subsystem's
     /// sparse-lu oracle runs on MNA matrices, here on synthetic
     /// diagonally-dominant graph Laplacians where SPD-ness is by
     /// construction.
     #[test]
-    fn sparse_lu_rcm_matches_dense_on_spd(n in 2usize..25, seed in 0u64..5_000) {
+    fn sparse_lu_amd_matches_dense_on_spd(n in 2usize..25, seed in 0u64..5_000) {
         use awe_numeric::{SparseLu, SparseMatrix};
         let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
         let mut next = move || {
@@ -311,9 +311,7 @@ proptest! {
             triplets.push((i, i, diag));
         }
         let s = SparseMatrix::from_triplets(n, n, &triplets);
-        let new_of_old = s.rcm_ordering().expect("square matrix");
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&old| new_of_old[old]);
+        let order = s.amd_column_order().expect("square matrix");
 
         let b: Vec<f64> = (0..n).map(|_| next() - 0.5).collect();
         let dense = lu_solve(&s.to_dense(), &b).expect("SPD is nonsingular");

@@ -10,7 +10,7 @@
 //! engine uses. `G` and `C` are read as CSC once per run, and the pattern
 //! of the implicit matrix `A = G + k·C` (`k = 2/h`, or `1/h` for backward
 //! Euler) is built once as the union of the two. The first `A` pays the
-//! only symbolic analysis, under an RCM column order; every later step
+//! only symbolic analysis, under an AMD column order; every later step
 //! size refills the values and replays that analysis through
 //! [`SparseLu::refactor`], falling back to a fresh factor only when the
 //! pivot guard rejects the stored pivot order. Each step is then two
@@ -394,7 +394,7 @@ struct Stepper<'a> {
     sys: &'a MnaSystem,
     method: Method,
     matrix: StepMatrix,
-    /// RCM column order of the union pattern, for every fresh factor.
+    /// AMD column order of the union pattern, for every fresh factor.
     order: Option<Vec<usize>>,
     /// The analysis refactors replay; replaced by a fallback's.
     symbolic: Option<Arc<LuSymbolic>>,
@@ -410,7 +410,7 @@ struct Stepper<'a> {
 impl<'a> Stepper<'a> {
     fn new(sys: &'a MnaSystem, method: Method) -> Self {
         let matrix = StepMatrix::new(sys);
-        let order = matrix.a.rcm_column_order().ok();
+        let order = matrix.a.amd_column_order().ok();
         Stepper {
             sys,
             method,

@@ -636,7 +636,7 @@ impl Artifacts {
 
         let dense = Lu::factor(&a).and_then(|lu| lu.solve(&b));
         let sm = SparseMatrix::from_dense(&a);
-        let order = sm.rcm_column_order().ok();
+        let order = sm.amd_column_order().ok();
         let sparse = SparseLu::factor(&sm, order.as_deref()).and_then(|lu| lu.solve(&b));
 
         match (dense, sparse) {
