@@ -375,7 +375,7 @@ pub fn structural_hash(circuit: &Circuit, output: NodeId) -> u64 {
 /// The [`structural_hash`] together with the circuit key it is built
 /// from: the same wrapping sum without the observation node's term, so
 /// one pass over the cards yields both.
-fn net_and_circuit_hash(circuit: &Circuit, output: NodeId) -> (u64, u64) {
+pub(crate) fn net_and_circuit_hash(circuit: &Circuit, output: NodeId) -> (u64, u64) {
     let mut acc = fnv1a(b"awe-batch-net-v2");
     for e in circuit.elements() {
         acc = acc.wrapping_add(canonical_card_hash(circuit, e));

@@ -6,6 +6,7 @@
 //! state) and [`NetTiming`] (wall times, which are not). Reports that
 //! must be byte-comparable across thread counts render only the former.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -15,10 +16,12 @@ use awe::{
     StageTimings,
 };
 use awe_circuit::{Circuit, NodeId, ReduceOptions};
+use awe_mna::{StampProgram, SPARSE_THRESHOLD};
 use awe_numeric::LANE_WIDTH;
 
 use crate::design::{prepare_net, same_solve_circuit, Design};
 use crate::pool::{effective_threads, run_indexed, PoolStats};
+use crate::sweep::materialize;
 use crate::tape::{self, GroupTape, ReplayStats, WorkerArena};
 
 /// Results served from the incremental cache without an AWE solve.
@@ -94,7 +97,8 @@ impl Default for BatchOptions {
 pub struct NetResult {
     /// Net name.
     pub name: String,
-    /// Structural hash (the cache key).
+    /// Structural hash (the cache key). A corner-sweep member carries
+    /// its base net's hash and is never cached.
     pub hash: u64,
     /// Node count (including ground) of the circuit actually solved —
     /// the reduced rewrite's count when the reduction pre-pass ran.
@@ -198,6 +202,12 @@ pub struct BatchRun {
     /// Tape members the stamp program declined (or whose group has
     /// none), rebuilt through the full dense MNA assembly.
     pub rebuilt: usize,
+    /// Corner-sweep members built as circuits: a donor the stamp program
+    /// cannot solve, a lane that fell back to the scalar path, a rebuilt
+    /// member, or any member of a group no tape serves. An admitted
+    /// member, the donor included, is stamped from its value vector and
+    /// never built; a design net is never counted.
+    pub materialized: usize,
 }
 
 /// Concurrent batch analyzer with a persistent incremental-reanalysis
@@ -206,7 +216,8 @@ pub struct BatchRun {
 /// The cache is keyed by each net's [structural
 /// hash](crate::design::structural_hash) and lives for the engine's
 /// lifetime: re-running a design after an ECO edit re-solves only the
-/// touched nets.
+/// touched nets. Corner-sweep members never enter it (see
+/// [`crate::sweep`]).
 #[derive(Debug, Default)]
 pub struct BatchEngine {
     cache: Mutex<HashMap<u64, NetResult>>,
@@ -312,81 +323,92 @@ impl BatchEngine {
         });
         let solve_circuit = |i: usize| prepared[i].circuit(&design.nets()[i].circuit);
 
-        // One pass under the cache lock classifies every net: snapshot
-        // hit, duplicate of an earlier net this run (same structural
-        // hash — it clones that net's result, exactly what a cache
-        // lookup after the first solve would have served), or solve.
-        let mut plan: Vec<Plan> = Vec::with_capacity(design.len());
-        let mut first_of_hash: HashMap<u64, usize> = HashMap::new();
+        // One pass under the cache lock serves the snapshot's hits; every
+        // other net solves, shares a solve, or repeats an earlier net.
+        let mut served: Vec<(usize, NetResult)> = Vec::new();
         {
             let cache = self.cache.lock().expect("cache lock");
             for (i, pn) in prepared.iter().enumerate() {
                 if let Some(r) = cache.get(&pn.hash) {
-                    plan.push(Plan::Hit(Box::new(r.clone())));
-                    continue;
-                }
-                match first_of_hash.get(&pn.hash) {
-                    Some(&j) => plan.push(Plan::Dup(j)),
-                    None => {
-                        first_of_hash.insert(pn.hash, i);
-                        plan.push(Plan::Solve(Vec::new()));
-                    }
+                    served.push((i, r.clone()));
                 }
             }
         }
-
-        // One solve per distinct solve circuit: a net whose circuit an
-        // earlier solving net already has (bit for bit, confirmed after
-        // the circuit-key bucket matches) joins that net's observer list
-        // instead of solving again — the moment recursion yields every
-        // unknown's moments, so each observer is one more reduction.
-        // Group sizes count the distinct circuits per pattern key for
-        // the donor-presolve decision below.
-        let mut leaders: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut group_size: HashMap<u64, usize> = HashMap::new();
-        for i in 0..plan.len() {
-            if !matches!(plan[i], Plan::Solve(_)) {
-                continue;
-            }
-            let bucket = leaders.entry(prepared[i].circuit_key).or_default();
-            let circuit = solve_circuit(i);
-            match bucket
-                .iter()
-                .copied()
-                .find(|&l| same_solve_circuit(solve_circuit(l), circuit))
-            {
-                Some(l) => {
-                    plan[i] = Plan::Shared;
-                    if let Plan::Solve(siblings) = &mut plan[l] {
-                        siblings.push(i);
-                    }
-                }
-                None => {
-                    bucket.push(i);
-                    *group_size.entry(prepared[i].pattern).or_insert(0) += 1;
-                }
-            }
+        let mut hit = vec![false; design.len()];
+        for &(i, _) in &served {
+            hit[i] = true;
         }
-        // The solve job of leader `i`: its circuit and every net observing
-        // it, leader first.
-        let job = |i: usize| {
-            let siblings: &[usize] = match &plan[i] {
-                Plan::Solve(s) => s,
-                _ => &[],
-            };
-            SolveJob {
-                circuit: solve_circuit(i),
-                observers: std::iter::once(&i)
-                    .chain(siblings)
-                    .map(|&j| Observer {
-                        index: j,
-                        name: &design.nets()[j].name,
-                        output: prepared[j].output,
-                        hash: prepared[j].hash,
-                    })
-                    .collect(),
-            }
+        let (dups, solves) = plan_solves(
+            (0..design.len()).filter(|&i| !hit[i]),
+            |i| (prepared[i].hash, prepared[i].circuit_key),
+            solve_circuit,
+        );
+        let observer = |j: usize| Observer {
+            index: j,
+            name: &design.nets()[j].name,
+            output: prepared[j].output,
+            hash: prepared[j].hash,
         };
+        let mut jobs: Vec<SolveJob<'_>> = solves
+            .iter()
+            .map(|nets| SolveJob {
+                source: Source::Circuit(solve_circuit(nets[0])),
+                pattern: prepared[nets[0]].pattern,
+                observers: nets.iter().map(|&j| observer(j)).collect(),
+            })
+            .collect();
+        let executed = self.execute(&mut jobs, opts);
+
+        let mut run = collect(design.len(), executed, served, &dups, |i| {
+            &design.nets()[i].name
+        });
+
+        // Batched cache insertion: one lock at the end of the run instead
+        // of one per net.
+        {
+            let mut cache = self.cache.lock().expect("cache lock");
+            for &i in solves.iter().flatten() {
+                cache.insert(prepared[i].hash, run.results[i].clone());
+            }
+        }
+        run.design.clone_from(&design.name);
+        run.parse_time = design.parse_time;
+        run.wall = start.elapsed();
+        run
+    }
+
+    /// Runs prebuilt solve jobs — a corner sweep's members, given as
+    /// value vectors over their base circuits — through the same donor →
+    /// tape → lane replay → scalar-fallback flow as [`BatchEngine::run`].
+    /// `len` results come back, indexed by the observers' `index`; each
+    /// `dups` pair `(i, j)` serves result `i` as a copy of result `j`
+    /// (`name(i)` renamed, marked as a cache hit). Nothing enters the
+    /// result cache: a member's `hash` does not identify its values.
+    pub(crate) fn run_jobs<'n>(
+        &self,
+        len: usize,
+        mut jobs: Vec<SolveJob<'_>>,
+        dups: &[(usize, usize)],
+        name: impl Fn(usize) -> &'n str,
+        opts: &BatchOptions,
+    ) -> BatchRun {
+        let start = Instant::now();
+        let executed = self.execute(&mut jobs, opts);
+        let mut run = collect(len, executed, Vec::new(), dups, name);
+        run.wall = start.elapsed();
+        run
+    }
+
+    /// Solves `jobs` (one per distinct solve circuit, in design order):
+    /// the donor presolve of every structure group, tape compilation and
+    /// the pool run of tape blocks and scalar batches.
+    fn execute(&self, jobs: &mut [SolveJob<'_>], opts: &BatchOptions) -> Executed {
+        // Group sizes count the distinct circuits per pattern key for the
+        // donor-presolve decision below.
+        let mut group_size: HashMap<u64, usize> = HashMap::new();
+        for job in jobs.iter() {
+            *group_size.entry(job.pattern).or_insert(0) += 1;
+        }
 
         // Deterministic pattern seeding: any group with at least two
         // distinct circuits that will actually solve gets its first such
@@ -399,15 +421,10 @@ impl BatchEngine {
         // is already cached (an earlier run) skip straight to replay;
         // singleton groups pay nothing here.
         let tape_on = tape::tape_applicable(opts);
-        // Fill ratio of each tape compiled this run.
-        let mut compiled: Vec<f64> = Vec::new();
-        let mut outcomes: Vec<(u64, usize, SolveOutcome)> = Vec::new();
-        let mut presolved: Vec<usize> = Vec::new();
-        for i in 0..plan.len() {
-            if !matches!(plan[i], Plan::Solve(_)) {
-                continue;
-            }
-            let key = prepared[i].pattern;
+        let mut executed = Executed::default();
+        let mut presolved = vec![false; jobs.len()];
+        for (i, job) in jobs.iter().enumerate() {
+            let key = job.pattern;
             if group_size.get(&key).is_none_or(|&c| c < 2) {
                 continue;
             }
@@ -426,16 +443,40 @@ impl BatchEngine {
             let t0 = Instant::now();
             let mut presolve_span = awe_obs::span("batch.presolve");
             presolve_span.note(i as f64, 0.0);
-            let solved = solve_net(&job(i), opts, None);
-            let latency = t0.elapsed();
+            // With a tape ahead, the group's stamp program compiles from
+            // the donor's structure first, and the donor solves on it
+            // without a dense matrix where the scalar path would factor
+            // sparse. Only a system of at least `SPARSE_THRESHOLD`
+            // unknowns can yield a pattern, and its unknowns (nodes and
+            // branch currents) number fewer than nodes plus elements.
+            let structure = job.structure();
+            let program = (tape_on
+                && structure.num_nodes() + structure.elements().len() > SPARSE_THRESHOLD)
+                .then(|| StampProgram::compile(structure).map(Arc::new))
+                .flatten();
+            let donor = program
+                .as_deref()
+                .and_then(|p| tape::solve_donor(p, job, opts));
+            let (solved, pattern) = match donor {
+                Some((solved, symbolic)) => (solved, Some(symbolic)),
+                None => {
+                    let circuit = job.circuit(&mut executed.replay.materialized);
+                    let solved = solve_net(&circuit, &job.observers, opts, None);
+                    let outcome = SolveOutcome {
+                        nets: solved.nets,
+                        latency: t0.elapsed(),
+                        pattern_hit: false,
+                        new_pattern: None,
+                        fallback: false,
+                    };
+                    (outcome, solved.pattern)
+                }
+            };
             drop(presolve_span);
-            if let Some(p) = solved.pattern {
+            if let Some(p) = pattern {
                 if tape_on {
-                    // The group's tape compiles from the system the donor
-                    // just assembled: no second dense build.
-                    compiled.push(p.fill_ratio());
-                    let system = solved.engine.map(AweEngine::into_system);
-                    let t = tape::compile(key, Some(solve_circuit(i)), system, p.clone());
+                    executed.compiled.push(p.fill_ratio());
+                    let t = GroupTape::new(key, program, p.clone());
                     self.tapes
                         .lock()
                         .expect("tape lock")
@@ -443,18 +484,8 @@ impl BatchEngine {
                 }
                 self.patterns.lock().expect("pattern lock").insert(key, p);
             }
-            presolved.push(i);
-            outcomes.push((
-                key,
-                CALLER_WORKER,
-                SolveOutcome {
-                    nets: solved.nets,
-                    latency,
-                    pattern_hit: false,
-                    new_pattern: None,
-                    fallback: false,
-                },
-            ));
+            presolved[i] = true;
+            executed.outcomes.push((key, CALLER_WORKER, solved));
         }
 
         // Pattern snapshot: presolve is done, so the only patterns that
@@ -467,13 +498,12 @@ impl BatchEngine {
         // Partition the remaining solves into work units.
         let mut order_of_pattern: HashMap<u64, usize> = HashMap::new();
         let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-        for i in 0..plan.len() {
-            if !matches!(plan[i], Plan::Solve(_)) || presolved.binary_search(&i).is_ok() {
+        for (i, job) in jobs.iter().enumerate() {
+            if presolved[i] {
                 continue;
             }
-            let key = prepared[i].pattern;
-            let gi = *order_of_pattern.entry(key).or_insert_with(|| {
-                groups.push((key, Vec::new()));
+            let gi = *order_of_pattern.entry(job.pattern).or_insert_with(|| {
+                groups.push((job.pattern, Vec::new()));
                 groups.len() - 1
             });
             groups[gi].1.push(i);
@@ -495,18 +525,22 @@ impl BatchEngine {
                 {
                     Some(t) => t.clone(),
                     None => {
-                        compiled.push(symbolic.fill_ratio());
+                        executed.compiled.push(symbolic.fill_ratio());
                         // A pattern cached by an earlier run: the first
                         // member stands in as the group's donor for
                         // stamp-program compilation (any member works:
                         // the program is topology-only and self-checks).
-                        let donor = members.first().map(|&i| solve_circuit(i));
-                        let t = Arc::new(tape::compile(key, donor, None, symbolic.clone()));
+                        let program = StampProgram::compile(jobs[members[0]].structure());
+                        let t =
+                            Arc::new(GroupTape::new(key, program.map(Arc::new), symbolic.clone()));
                         tapes.insert(key, t.clone());
                         t
                     }
                 }
             };
+            if let Some(program) = &tape.program {
+                admit_corners(program, jobs, &members);
+            }
             units.extend(members.chunks(TAPE_CHUNK).map(|c| Unit::Tape {
                 tape: tape.clone(),
                 members: c.to_vec(),
@@ -531,13 +565,14 @@ impl BatchEngine {
             stored.drain(..).map(Mutex::new).collect()
         };
 
+        let jobs: &[SolveJob<'_>] = jobs;
         let (unit_outs, pool) = run_indexed(units.len(), opts.threads, |u, w| {
             let arena = &arenas[w % arenas.len()];
             match &units[u] {
                 Unit::Tape { tape, members } => {
-                    let jobs: Vec<SolveJob<'_>> = members.iter().map(|&i| job(i)).collect();
+                    let block: Vec<&SolveJob<'_>> = members.iter().map(|&i| &jobs[i]).collect();
                     let mut arena = arena.lock().expect("arena lock");
-                    let (outs, stats) = tape::replay_block(tape, &jobs, opts, &mut arena);
+                    let (outs, stats) = tape::replay_block(tape, &block, opts, &mut arena);
                     UnitOut {
                         outcomes: outs.into_iter().map(|o| (tape.pattern, w, o)).collect(),
                         replays: 1,
@@ -545,17 +580,19 @@ impl BatchEngine {
                     }
                 }
                 Unit::Scalar { nets } => {
+                    let mut stats = ReplayStats::default();
                     let outcomes = nets
                         .iter()
                         .map(|&i| {
-                            let key = prepared[i].pattern;
+                            let job = &jobs[i];
                             let mut net_span = awe_obs::span("batch.net");
                             net_span.note(i as f64, w as f64);
                             let t0 = Instant::now();
-                            let seed = snapshot.get(&key);
-                            let solved = solve_net(&job(i), opts, seed);
+                            let seed = snapshot.get(&job.pattern);
+                            let circuit = job.circuit(&mut stats.materialized);
+                            let solved = solve_net(&circuit, &job.observers, opts, seed);
                             (
-                                key,
+                                job.pattern,
                                 w,
                                 outcome(solved.nets, t0, seed, solved.pattern, false),
                             )
@@ -564,7 +601,7 @@ impl BatchEngine {
                     UnitOut {
                         outcomes,
                         replays: 0,
-                        stats: ReplayStats::default(),
+                        stats,
                     }
                 }
             }
@@ -576,144 +613,192 @@ impl BatchEngine {
             .map(|m| m.into_inner().expect("arena poisoned"))
             .collect();
 
-        // Scatter results by design index and accumulate accounting.
-        let n = design.len();
-        let mut results: Vec<Option<NetResult>> = (0..n).map(|_| None).collect();
-        let mut timings: Vec<NetTiming> = vec![NetTiming::default(); n];
-        let mut solves = 0usize;
-        let mut shared = 0usize;
-        let mut pattern_hits = 0usize;
-        let mut scalar_fallbacks = 0usize;
-        let mut tape_replays = 0usize;
-        let mut replay = ReplayStats::default();
-        let mut new_patterns: Vec<(u64, SharedSymbolic)> = Vec::new();
         for out in unit_outs {
-            tape_replays += out.replays;
-            replay.lane_blocks += out.stats.lane_blocks;
-            replay.lane_lanes += out.stats.lane_lanes;
-            replay.stamped += out.stats.stamped;
-            replay.rebuilt += out.stats.rebuilt;
-            outcomes.extend(out.outcomes);
+            executed.tape_replays += out.replays;
+            executed.replay.add(&out.stats);
+            executed.outcomes.extend(out.outcomes);
         }
-        for (key, worker, o) in outcomes {
-            solves += 1;
-            shared += o.nets.len() - 1;
-            pattern_hits += usize::from(o.pattern_hit);
-            scalar_fallbacks += usize::from(o.fallback);
-            if let Some(p) = o.new_pattern {
-                new_patterns.push((key, p));
-            }
-            for (i, result, stages) in o.nets {
-                timings[i] = NetTiming {
-                    latency: o.latency,
-                    stages,
-                    worker,
-                };
-                results[i] = Some(result);
-            }
-        }
-        let mut cache_hits = 0usize;
-        let mut dups: Vec<(usize, usize)> = Vec::new();
-        let mut to_cache: Vec<usize> = Vec::new();
-        for (i, p) in plan.into_iter().enumerate() {
-            match p {
-                Plan::Hit(mut r) => {
-                    cache_hits += 1;
-                    r.name.clone_from(&design.nets()[i].name);
-                    r.cache_hit = true;
-                    results[i] = Some(*r);
-                    timings[i] = NetTiming {
-                        latency: Duration::ZERO,
-                        stages: StageTimings::default(),
-                        worker: CALLER_WORKER,
-                    };
-                }
-                Plan::Dup(j) => dups.push((i, j)),
-                Plan::Solve(_) | Plan::Shared => to_cache.push(i),
-            }
-        }
-        for (i, j) in dups {
-            let mut r = results[j].clone().expect("dup source resolved");
-            cache_hits += 1;
-            r.name.clone_from(&design.nets()[i].name);
-            r.cache_hit = true;
-            results[i] = Some(r);
-            timings[i] = NetTiming {
-                latency: Duration::ZERO,
-                stages: StageTimings::default(),
-                worker: CALLER_WORKER,
-            };
-        }
-        SOLVES.add(solves as u64);
-        SHARED_OUTPUTS.add(shared as u64);
-        CACHE_HITS.add(cache_hits as u64);
-        PATTERN_HITS.add(pattern_hits as u64);
-
-        // Batched cache/pattern insertion: one lock each at the end of
-        // the run instead of one per net.
-        {
-            let mut cache = self.cache.lock().expect("cache lock");
-            for i in to_cache {
-                let r = results[i].as_ref().expect("solved net resolved");
-                cache.insert(prepared[i].hash, r.clone());
-            }
-        }
-        if !new_patterns.is_empty() {
+        // Record the patterns singleton groups analysed: one lock at the
+        // end of the run instead of one per net.
+        let mut fresh = executed
+            .outcomes
+            .iter_mut()
+            .filter_map(|(key, _, o)| o.new_pattern.take().map(|p| (*key, p)))
+            .peekable();
+        if fresh.peek().is_some() {
             let mut pats = self.patterns.lock().expect("pattern lock");
-            for (key, p) in new_patterns {
+            for (key, p) in fresh {
                 pats.entry(key).or_insert(p);
             }
         }
+        executed.pool = pool;
+        executed
+    }
+}
 
-        BatchRun {
-            design: design.name.clone(),
-            parse_time: design.parse_time,
-            wall: start.elapsed(),
-            results: results
-                .into_iter()
-                .map(|r| r.expect("every net resolved"))
-                .collect(),
-            timings,
-            pool,
-            solves,
-            shared,
-            cache_hits,
-            pattern_hits,
-            tapes_compiled: compiled.len(),
-            fill_ratio: compiled.into_iter().reduce(f64::max),
-            tape_replays,
-            lane_blocks: replay.lane_blocks,
-            lane_lanes: replay.lane_lanes,
-            scalar_fallbacks,
-            stamped: replay.stamped,
-            rebuilt: replay.rebuilt,
+/// One solve per distinct solve circuit. Of `nets` (in order), a net
+/// with an earlier net's structural hash repeats it and copies its
+/// result — exactly what a cache lookup after the first solve would
+/// serve. The rest solve: nets whose circuits are equal bit for bit
+/// (confirmed after the circuit key matches) share one solve, whose
+/// moment recursion yields every unknown's moments, so each observer is
+/// one more reduction. `keys(i)` is net `i`'s `(structural hash, circuit
+/// key)`. Returns the repeats as `(net, earlier net)` and each solve's
+/// observers, leader first, in the order the leaders appear.
+pub(crate) fn plan_solves<'c>(
+    nets: impl IntoIterator<Item = usize>,
+    keys: impl Fn(usize) -> (u64, u64),
+    circuit: impl Fn(usize) -> &'c Circuit,
+) -> (Vec<(usize, usize)>, Vec<Vec<usize>>) {
+    let mut first_of_hash: HashMap<u64, usize> = HashMap::new();
+    let mut by_key: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut dups: Vec<(usize, usize)> = Vec::new();
+    let mut solves: Vec<Vec<usize>> = Vec::new();
+    for i in nets {
+        let (hash, key) = keys(i);
+        if let Some(&j) = first_of_hash.get(&hash) {
+            dups.push((i, j));
+            continue;
+        }
+        first_of_hash.insert(hash, i);
+        let bucket = by_key.entry(key).or_default();
+        match bucket
+            .iter()
+            .copied()
+            .find(|&s| same_solve_circuit(circuit(solves[s][0]), circuit(i)))
+        {
+            Some(s) => solves[s].push(i),
+            None => {
+                bucket.push(solves.len());
+                solves.push(vec![i]);
+            }
+        }
+    }
+    (dups, solves)
+}
+
+/// Sets every corner member's `admitted` flag for its group's stamp
+/// program: element admission runs once per base circuit, not once per
+/// member.
+fn admit_corners<'a>(program: &StampProgram, jobs: &mut [SolveJob<'a>], members: &[usize]) {
+    let mut checked: Vec<(&'a Circuit, bool)> = Vec::new();
+    for &i in members {
+        if let Source::Corner { base, admitted, .. } = &mut jobs[i].source {
+            let base: &'a Circuit = base;
+            *admitted = match checked.iter().find(|(c, _)| std::ptr::eq(*c, base)) {
+                Some(&(_, a)) => a,
+                None => {
+                    let a = program.check(base);
+                    checked.push((base, a));
+                    a
+                }
+            };
         }
     }
 }
 
-/// Per-net disposition after the cache pass.
-enum Plan {
-    /// Served from the cache snapshot.
-    Hit(Box<NetResult>),
-    /// Same structural hash as an earlier net this run; clones its result.
-    Dup(usize),
-    /// Leads a solve: the listed later nets observe the same solve
-    /// circuit and read their results off this net's decomposition.
-    Solve(Vec<usize>),
-    /// Observes an earlier leader's solve circuit (it is in that
-    /// leader's list).
-    Shared,
+/// What [`BatchEngine::execute`] produced.
+#[derive(Default)]
+struct Executed {
+    /// `(pattern key, worker, outcome)` per solve job.
+    outcomes: Vec<(u64, usize, SolveOutcome)>,
+    pool: PoolStats,
+    tape_replays: usize,
+    replay: ReplayStats,
+    /// Fill ratio of each tape compiled this run.
+    compiled: Vec<f64>,
+}
+
+/// Scatters solve outcomes, served results and duplicates into a run of
+/// `len` results and tallies its accounting. `served` results (cache
+/// hits) and `dups` copies are renamed to `name(i)` and marked as cache
+/// hits. The caller fills in the design name and times.
+fn collect<'n>(
+    len: usize,
+    executed: Executed,
+    served: Vec<(usize, NetResult)>,
+    dups: &[(usize, usize)],
+    name: impl Fn(usize) -> &'n str,
+) -> BatchRun {
+    let mut results: Vec<Option<NetResult>> = (0..len).map(|_| None).collect();
+    let mut timings: Vec<NetTiming> = vec![NetTiming::default(); len];
+    let mut solves = 0usize;
+    let mut shared = 0usize;
+    let mut pattern_hits = 0usize;
+    let mut scalar_fallbacks = 0usize;
+    for (_, worker, o) in executed.outcomes {
+        solves += 1;
+        shared += o.nets.len() - 1;
+        pattern_hits += usize::from(o.pattern_hit);
+        scalar_fallbacks += usize::from(o.fallback);
+        for (i, result, stages) in o.nets {
+            timings[i] = NetTiming {
+                latency: o.latency,
+                stages,
+                worker,
+            };
+            results[i] = Some(result);
+        }
+    }
+    let cache_hits = served.len() + dups.len();
+    let hit = NetTiming {
+        latency: Duration::ZERO,
+        stages: StageTimings::default(),
+        worker: CALLER_WORKER,
+    };
+    for (i, mut r) in served {
+        r.name = name(i).to_owned();
+        r.cache_hit = true;
+        results[i] = Some(r);
+        timings[i] = hit;
+    }
+    for &(i, j) in dups {
+        let mut r = results[j].clone().expect("dup source resolved");
+        r.name = name(i).to_owned();
+        r.cache_hit = true;
+        results[i] = Some(r);
+        timings[i] = hit;
+    }
+    SOLVES.add(solves as u64);
+    SHARED_OUTPUTS.add(shared as u64);
+    CACHE_HITS.add(cache_hits as u64);
+    PATTERN_HITS.add(pattern_hits as u64);
+    let replay = executed.replay;
+    BatchRun {
+        design: String::new(),
+        parse_time: Duration::ZERO,
+        wall: Duration::ZERO,
+        results: results
+            .into_iter()
+            .map(|r| r.expect("every net resolved"))
+            .collect(),
+        timings,
+        pool: executed.pool,
+        solves,
+        shared,
+        cache_hits,
+        pattern_hits,
+        tapes_compiled: executed.compiled.len(),
+        fill_ratio: executed.compiled.into_iter().reduce(f64::max),
+        tape_replays: executed.tape_replays,
+        lane_blocks: replay.lane_blocks,
+        lane_lanes: replay.lane_lanes,
+        scalar_fallbacks,
+        stamped: replay.stamped,
+        rebuilt: replay.rebuilt,
+        materialized: replay.materialized,
+    }
 }
 
 /// One pool job: a whole batch of solves scheduled as a unit.
 enum Unit {
-    /// Replay the solves led by `members` (design indices) through one
-    /// group tape.
+    /// Replay the solve jobs `members` (job indices) through one group
+    /// tape.
     Tape {
         tape: Arc<GroupTape>,
         members: Vec<usize>,
     },
-    /// Scalar solves, led by `nets`, with no applicable tape.
+    /// Scalar solves of the jobs `nets`, with no applicable tape.
     Scalar { nets: Vec<usize> },
 }
 
@@ -735,17 +820,62 @@ pub(crate) struct Observer<'a> {
     pub name: &'a str,
     /// Observation node in the solve circuit.
     pub output: NodeId,
-    /// Structural hash (cache key).
+    /// Structural hash: the cache key of a design net, the base net's
+    /// hash for a corner-sweep member.
     pub hash: u64,
+}
+
+/// Where a solve job's circuit comes from.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Source<'a> {
+    /// A design net's solve circuit (the reduced rewrite when the
+    /// pre-pass ran).
+    Circuit(&'a Circuit),
+    /// A corner-sweep member: `values` over `base`'s elements (see
+    /// [`corner_values`](crate::sweep)). No circuit exists for it until a
+    /// path that reads one materializes it.
+    Corner {
+        base: &'a Circuit,
+        values: &'a [f64],
+        /// Whether the group's stamp program admits `base` — set by the
+        /// engine once per base circuit when the group has a tape.
+        admitted: bool,
+    },
 }
 
 /// One solve: a circuit built, factored and run through the moment
 /// recursion once, then reduced at every observer's node.
 pub(crate) struct SolveJob<'a> {
-    /// The circuit to solve (the reduced rewrite when the pre-pass ran).
-    pub circuit: &'a Circuit,
+    /// The circuit to solve.
+    pub source: Source<'a>,
+    /// Topology pattern key of the circuit (its structure group).
+    pub pattern: u64,
     /// The nets observing it, leader first (never empty).
     pub observers: Vec<Observer<'a>>,
+}
+
+impl<'a> SolveJob<'a> {
+    /// The circuit's structure: node and element counts, names and
+    /// terminals (a corner's base circuit, whose values differ).
+    pub fn structure(&self) -> &'a Circuit {
+        match self.source {
+            Source::Circuit(c) | Source::Corner { base: c, .. } => c,
+        }
+    }
+
+    /// The circuit itself, for the paths that read one: a design net's is
+    /// borrowed, a corner's is built through
+    /// [`corner_circuit`](crate::corner_circuit)'s materialization, and
+    /// counted in `materialized`.
+    pub fn circuit(&self, materialized: &mut usize) -> Cow<'a, Circuit> {
+        match self.source {
+            Source::Circuit(c) => Cow::Borrowed(c),
+            Source::Corner { base, values, .. } => {
+                *materialized += 1;
+                Cow::Owned(materialize(base, values))
+            }
+        }
+    }
 }
 
 /// What one solve produced.
@@ -792,12 +922,9 @@ pub(crate) struct Solved {
     pub nets: Vec<(usize, NetResult, StageTimings)>,
     /// The pattern the engine ended up with.
     pub pattern: Option<SharedSymbolic>,
-    /// The engine, holding the assembled system (`None` when assembly
-    /// failed).
-    pub engine: Option<AweEngine>,
 }
 
-/// One full AWE solve of a job, with stage times: one MNA build, one
+/// One full AWE solve of `circuit`, with stage times: one MNA build, one
 /// factorization and one moment recursion per order tried, reduced at
 /// every observer's node. Each observer's result is bit-identical to
 /// solving its net alone — an observer whose node is no unknown of the
@@ -805,9 +932,10 @@ pub(crate) struct Solved {
 /// to the AWE engine so the factorization can skip its symbolic
 /// analysis; the pattern the engine ends up with (the seed if the
 /// refactorization succeeded, a freshly analysed one otherwise, `None` on
-/// the dense path) is returned for the caches, with the engine itself.
+/// the dense path) is returned for the caches.
 pub(crate) fn solve_net(
-    job: &SolveJob<'_>,
+    circuit: &Circuit,
+    observers: &[Observer<'_>],
     opts: &BatchOptions,
     seed: Option<&SharedSymbolic>,
 ) -> Solved {
@@ -816,21 +944,20 @@ pub(crate) fn solve_net(
     } else {
         opts.order
     };
-    let mut results: Vec<NetResult> = job
-        .observers
+    let mut results: Vec<NetResult> = observers
         .iter()
-        .map(|o| blank_result(o.name, o.hash, job.circuit, requested))
+        .map(|o| blank_result(o.name, o.hash, circuit, requested))
         .collect();
     let n = results.len();
     let collect = |results: Vec<NetResult>, stages: Vec<StageTimings>| {
-        job.observers
+        observers
             .iter()
             .zip(results)
             .zip(stages)
             .map(|((o, r), s)| (o.index, r, s))
             .collect()
     };
-    let engine = match AweEngine::new(job.circuit) {
+    let engine = match AweEngine::new(circuit) {
         Ok(e) => e,
         Err(e) => {
             for r in &mut results {
@@ -839,7 +966,6 @@ pub(crate) fn solve_net(
             return Solved {
                 nets: collect(results, vec![StageTimings::default(); n]),
                 pattern: None,
-                engine: None,
             };
         }
     };
@@ -854,7 +980,7 @@ pub(crate) fn solve_net(
     // Each observer's unknown, checked in the engine's own order: a zero
     // order is rejected first, then a node outside the system.
     let mut live: Vec<(usize, usize)> = Vec::with_capacity(n);
-    for (p, o) in job.observers.iter().enumerate() {
+    for (p, o) in observers.iter().enumerate() {
         let checked = if opts.auto_target.is_none() && opts.order == 0 {
             Err(AweError::BadOrder { order: 0 })
         } else {
@@ -877,7 +1003,6 @@ pub(crate) fn solve_net(
     Solved {
         nets: collect(results, stages),
         pattern: engine.factor_pattern(),
-        engine: Some(engine),
     }
 }
 

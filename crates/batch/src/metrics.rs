@@ -55,6 +55,9 @@ pub struct RunMetrics {
     pub stamped: usize,
     /// Tape members rebuilt through the full dense MNA assembly.
     pub rebuilt: usize,
+    /// Corner-sweep members built as circuits (see
+    /// [`BatchRun::materialized`]).
+    pub materialized: usize,
     /// Nets whose analysis failed.
     pub failures: usize,
     /// Nets that escalated past their requested/starting order.
@@ -129,6 +132,7 @@ impl RunMetrics {
             scalar_fallbacks: run.scalar_fallbacks,
             stamped: run.stamped,
             rebuilt: run.rebuilt,
+            materialized: run.materialized,
             failures: run.results.iter().filter(|r| r.error.is_some()).count(),
             escalated: run.results.iter().filter(|r| r.escalations > 0).count(),
             rescued: run.results.iter().filter(|r| r.rescued).count(),

@@ -20,8 +20,9 @@ use std::sync::Mutex;
 
 /// Jobs obtained by stealing, across all pool runs of a recording.
 static POOL_STEALS: awe_obs::Counter = awe_obs::Counter::new("pool.steals");
-/// Deque length observed at each refill (owner's own deque, before the
-/// drain) — the live-queue-depth distribution of a run.
+/// Deque length observed at each refill that takes work (owner's own
+/// deque, before the drain) — the live-queue-depth distribution of a
+/// run. An idle worker's empty deque records nothing.
 static QUEUE_DEPTH: awe_obs::Histogram = awe_obs::Histogram::new("pool.queue_depth");
 
 /// Scheduler observability for one pool run.
@@ -33,6 +34,9 @@ pub struct PoolStats {
     pub executed: Vec<usize>,
     /// Jobs each worker obtained by stealing.
     pub steals: Vec<usize>,
+    /// Refills that took jobs off a worker's own deque, summed over the
+    /// workers: one `pool.queue_depth` sample each.
+    pub refills: usize,
 }
 
 impl PoolStats {
@@ -89,6 +93,7 @@ where
                 threads,
                 executed: vec![0; threads],
                 steals: vec![0; threads],
+                refills: 0,
             },
         );
     }
@@ -103,6 +108,7 @@ where
                 threads: 1,
                 executed: vec![jobs],
                 steals: vec![0],
+                refills: 0,
             },
         );
     }
@@ -126,6 +132,7 @@ where
     let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
     let executed: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
     let steals: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
+    let refills = AtomicUsize::new(0);
 
     // Forward the spawner's ambient request id (if any) into every
     // worker, so a daemon request's spans and health events stay
@@ -139,6 +146,7 @@ where
             let slots = &slots;
             let executed = &executed;
             let steals = &steals;
+            let refills = &refills;
             let f = &f;
             scope.spawn(move || {
                 let _req = awe_obs::req_scope(req);
@@ -151,14 +159,19 @@ where
                 // still be stolen out of the shared deque.
                 let mut local: VecDeque<usize> = VecDeque::new();
                 loop {
-                    if local.is_empty() {
-                        // Refill: drain a chunk off the front of our deque
-                        // under one lock.
+                    // Refill: drain a chunk off the front of our deque
+                    // under one lock. Nothing is ever pushed onto a deque
+                    // after seeding, so a zero length means it stays
+                    // empty: an idle worker skips the lock.
+                    if local.is_empty() && lens[w].load(Ordering::Acquire) > 0 {
                         let mut dq = deques[w].lock().expect("deque lock");
-                        QUEUE_DEPTH.record(dq.len() as f64);
                         let take = chunk_size(dq.len());
-                        local.extend(dq.drain(..take));
-                        lens[w].store(dq.len(), Ordering::Release);
+                        if take > 0 {
+                            QUEUE_DEPTH.record(dq.len() as f64);
+                            refills.fetch_add(1, Ordering::Relaxed);
+                            local.extend(dq.drain(..take));
+                            lens[w].store(dq.len(), Ordering::Release);
+                        }
                     }
                     if local.is_empty() {
                         // Steal: pick the fullest victim from the advisory
@@ -215,6 +228,7 @@ where
         threads,
         executed: executed.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
         steals: steals.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
+        refills: refills.into_inner(),
     };
     (results, stats)
 }

@@ -80,7 +80,7 @@ pub fn text_report(run: &BatchRun, include_timings: bool) -> String {
 fn tape_line(m: &RunMetrics) -> String {
     format!(
         "tapes compiled {}  fill-ratio {}  replays {}  lane-occupancy {}  scalar-fallbacks {}  \
-         stamped {}  rebuilt {}",
+         stamped {}  rebuilt {}  materialized {}",
         m.tapes_compiled,
         m.fill_ratio.map_or("-".to_string(), |f| format!("{f:.2}")),
         m.tape_replays,
@@ -88,7 +88,8 @@ fn tape_line(m: &RunMetrics) -> String {
             .map_or("-".to_string(), |o| format!("{:.0} %", 100.0 * o)),
         m.scalar_fallbacks,
         m.stamped,
-        m.rebuilt
+        m.rebuilt,
+        m.materialized
     )
 }
 
@@ -96,14 +97,15 @@ fn tape_line(m: &RunMetrics) -> String {
 fn tape_json(m: &RunMetrics) -> String {
     format!(
         "{{\"compiled\": {}, \"fill_ratio\": {}, \"replays\": {}, \"lane_occupancy\": {}, \
-         \"scalar_fallbacks\": {}, \"stamped\": {}, \"rebuilt\": {}}}",
+         \"scalar_fallbacks\": {}, \"stamped\": {}, \"rebuilt\": {}, \"materialized\": {}}}",
         m.tapes_compiled,
         json_opt_f64(m.fill_ratio),
         m.tape_replays,
         json_opt_f64(m.lane_occupancy),
         m.scalar_fallbacks,
         m.stamped,
-        m.rebuilt
+        m.rebuilt,
+        m.materialized
     )
 }
 

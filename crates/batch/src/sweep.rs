@@ -3,34 +3,50 @@
 //!
 //! A *corner* is the base design with every R/C value perturbed by a
 //! relative Gaussian draw (`value · (1 + σ·z)`). Corners never change
-//! topology, element names, or observation nodes, so every corner of a
-//! net shares the base net's [`pattern_key`](crate::design::pattern_key):
-//! the batch engine puts the whole sweep into **one structure group**,
-//! pays one donor symbolic factorization, and replays every other corner
-//! through the group's tape (stamp program, lane refactor) with zero new
-//! symbolic work.
+//! topology, element names, or observation nodes, so a corner is a
+//! **value vector** over its base circuit's elements, not a circuit.
+//! [`sweep_ordered`] partitions the base nets into distinct solve
+//! circuits once (the taps of a PDN design are one circuit with several
+//! observers), draws one vector per circuit and corner, and hands the
+//! batch engine the resulting solve jobs: one structure group per base
+//! topology, one donor symbolic factorization, and every other corner
+//! stamped from its values into the group's tape (stamp program, lane
+//! refactor) with zero new symbolic work.
+//!
+//! A corner becomes a [`Circuit`] — through [`corner_circuit`], the one
+//! generator of corner bits — only where a circuit is read: the group's
+//! donor, a lane that falls back to the scalar solve, a member the stamp
+//! program declines, and every member when no tape applies (no tape, a
+//! dense group, automatic order, RC-chain reduction).
+//! [`BatchRun::materialized`] counts them. Sweep members never enter the
+//! engine's result cache, and a member's [`NetResult::hash`] is its base
+//! net's structural hash: it names the net a member perturbs, not the
+//! member's values.
 //!
 //! Determinism is by construction, not by scheduling discipline: corner
 //! `k`'s perturbation stream is seeded by a splitmix64 mix of
-//! `seed ⊕ k` alone, so the circuit of corner `k` is a pure function of
+//! `seed ⊕ k` alone, so the values of corner `k` are a pure function of
 //! `(base, spec, k)` — byte-identical at any thread count and any corner
 //! order. The aggregation below keys every sample by corner index, so
 //! quantiles and worst-corner attribution are permutation-invariant too.
 //!
 //! Perturbed values are validated *at the sweep boundary*: a draw that
 //! drives R or C non-positive (or non-finite) yields a typed
-//! [`CornerError`] naming the corner and element, and the corner is
-//! excluded from the batch design — it can neither demote the tape to a
-//! stamp-program admission fallback nor leak NaN into the quantile
-//! aggregation.
+//! [`CornerError`] naming the corner and element for every base net over
+//! that circuit, and the corner is excluded from the run — it can
+//! neither demote the tape to a stamp-program admission fallback nor
+//! leak NaN into the quantile aggregation.
+//!
+//! [`NetResult::hash`]: crate::NetResult::hash
 
 use std::time::Duration;
 
 use awe_circuit::pdn::{pdn_grid, PdnSpec};
-use awe_circuit::{Circuit, Element};
+use awe_circuit::{Circuit, Element, NodeId};
 
-use crate::design::{Design, NetSpec};
-use crate::engine::{BatchEngine, BatchOptions, BatchRun};
+use crate::design::{net_and_circuit_hash, pattern_key, Design, NetSpec};
+use crate::engine::{plan_solves, BatchEngine, BatchOptions, BatchRun, Observer, SolveJob, Source};
+use crate::pool::run_indexed;
 
 static CORNERS: awe_obs::Counter = awe_obs::Counter::new("sweep.corners");
 static REJECTED: awe_obs::Counter = awe_obs::Counter::new("sweep.corner_rejects");
@@ -142,6 +158,35 @@ pub struct SweepRun {
 }
 
 impl SweepRun {
+    /// Assembles a finished sweep of `base` from its batch run, whose
+    /// results align with `members`: the per-node delay distributions
+    /// and the symbolic-work ledger. `rejected` must already be sorted by
+    /// `(corner, net)`.
+    pub fn from_run(
+        base: &Design,
+        spec: &CornerSpec,
+        run: BatchRun,
+        members: Vec<(usize, usize)>,
+        rejected: Vec<CornerError>,
+        generate_wall: Duration,
+    ) -> SweepRun {
+        let agg_span = awe_obs::span("sweep.aggregate");
+        let nodes = aggregate(base, &run, &members);
+        drop(agg_span);
+        let new_symbolic = run.solves.saturating_sub(run.pattern_hits);
+        SweepRun {
+            design: base.name.clone(),
+            spec: *spec,
+            new_symbolic,
+            new_symbolic_after_donor: new_symbolic.saturating_sub(1),
+            run,
+            members,
+            nodes,
+            rejected,
+            generate_wall,
+        }
+    }
+
     /// FNV-1a digest of the deterministic sweep outcome: node names,
     /// per-corner delay bits, failure markers, and rejection records.
     /// Two sweeps of the same base/spec are required to agree on this
@@ -221,8 +266,74 @@ fn normal(state: &mut u64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Builds corner `k` of `base`: every R/C value scaled by `1 + σ·z` with
-/// per-element standard-normal draws from the corner's splitmix stream.
+/// Corner `k`'s value vector over `base`: one entry per element of
+/// `base` — every R/C value scaled by `1 + σ·z` with per-element
+/// standard-normal draws from the corner's splitmix stream, in element
+/// order; an inductor's entry is its base value, any other element's 0
+/// (the entries [`StampProgram::apply_values`](awe_mna::StampProgram::apply_values)
+/// reads).
+///
+/// # Errors
+///
+/// [`CornerError`] (with `net` left empty — the sweep fills it in) for
+/// the first perturbed value that is non-finite or ≤ 0.
+pub(crate) fn corner_values(
+    base: &Circuit,
+    spec: &CornerSpec,
+    corner: usize,
+) -> Result<Vec<f64>, CornerError> {
+    let mut state = spec.seed ^ corner as u64;
+    base.elements()
+        .iter()
+        .map(|el| {
+            let (name, value) = match el {
+                Element::Resistor { name, ohms, .. } => (name, *ohms),
+                Element::Capacitor { name, farads, .. } => (name, *farads),
+                Element::Inductor { henries, .. } => return Ok(*henries),
+                _ => return Ok(0.0),
+            };
+            if spec.sigma == 0.0 {
+                // Exactly the base bits.
+                return Ok(value);
+            }
+            let perturbed = value * (1.0 + spec.sigma * normal(&mut state));
+            if !perturbed.is_finite() || perturbed <= 0.0 {
+                return Err(CornerError {
+                    corner,
+                    net: String::new(),
+                    element: name.clone(),
+                    value: perturbed,
+                });
+            }
+            Ok(perturbed)
+        })
+        .collect()
+}
+
+/// The circuit a value vector describes: `base` with every R/C/L value
+/// that differs from `values` written in. A 0σ vector writes nothing, so
+/// the result is the base bits.
+pub(crate) fn materialize(base: &Circuit, values: &[f64]) -> Circuit {
+    let mut out = base.clone();
+    for (idx, (el, &v)) in base.elements().iter().zip(values).enumerate() {
+        let current = match el {
+            Element::Resistor { ohms: x, .. }
+            | Element::Capacitor { farads: x, .. }
+            | Element::Inductor { henries: x, .. } => *x,
+            _ => continue,
+        };
+        if current.to_bits() != v.to_bits() {
+            out.set_value_at(idx, v)
+                .expect("validated value on an existing element");
+        }
+    }
+    out
+}
+
+/// Builds corner `k` of `base`: the circuit of its value vector, every
+/// R/C value scaled by `1 + σ·z` with per-element standard-normal draws
+/// from the corner's splitmix stream. A sweep builds this circuit only where one is read (see the
+/// module docs); everywhere else it stamps the value vector.
 ///
 /// # Errors
 ///
@@ -234,32 +345,7 @@ pub fn corner_circuit(
     spec: &CornerSpec,
     corner: usize,
 ) -> Result<Circuit, CornerError> {
-    let mut out = base.clone();
-    if spec.sigma == 0.0 {
-        // Exactly the base bits: don't even touch the values, so a 0σ
-        // sweep dedups against the baseline's structural hash.
-        return Ok(out);
-    }
-    let mut state = spec.seed ^ corner as u64;
-    for (idx, el) in base.elements().iter().enumerate() {
-        let (name, value) = match el {
-            Element::Resistor { name, ohms, .. } => (name, *ohms),
-            Element::Capacitor { name, farads, .. } => (name, *farads),
-            _ => continue,
-        };
-        let perturbed = value * (1.0 + spec.sigma * normal(&mut state));
-        if !perturbed.is_finite() || perturbed <= 0.0 {
-            return Err(CornerError {
-                corner,
-                net: String::new(),
-                element: name.clone(),
-                value: perturbed,
-            });
-        }
-        out.set_value_at(idx, perturbed)
-            .expect("validated value on an existing element");
-    }
-    Ok(out)
+    corner_values(base, spec, corner).map(|values| materialize(base, &values))
 }
 
 /// Runs a corner sweep of `base` on `engine`, scheduling corners in
@@ -303,54 +389,254 @@ pub fn sweep_ordered(
 
     let mut sweep_span = awe_obs::span("sweep.run");
     let gen_start = std::time::Instant::now();
-    let mut members = Vec::with_capacity(spec.corners * base.nets().len());
-    let mut nets = Vec::with_capacity(spec.corners * base.nets().len());
-    let mut rejected = Vec::new();
-    for &corner in order {
-        for (ni, net) in base.nets().iter().enumerate() {
-            match corner_circuit(&net.circuit, spec, corner) {
-                Ok(circuit) => {
-                    members.push((corner, ni));
-                    nets.push(NetSpec {
-                        name: format!("{}@c{corner:04}", net.name),
-                        circuit,
-                        output: net.output,
-                    });
+    let mut plan = CornerPlan::draw(base, spec, order, opts.threads);
+    let name = format!("{}+sweep", base.name);
+    // Reduction rewrites each corner's topology from its values, so a
+    // reducing sweep builds every member's circuit and runs it as a
+    // design.
+    let reduced = opts.reduce.enabled.then(|| plan.design(base, name.clone()));
+    let generate_wall = gen_start.elapsed();
+    CORNERS.add(spec.corners as u64);
+    REJECTED.add(plan.rejected.len() as u64);
+    MEMBERS.add(plan.members.len() as u64);
+    // Rejections sort by (corner, net index); generation order above is
+    // scheduling order, which must not leak into the report.
+    plan.rejected
+        .sort_by(|a, b| (a.corner, &a.net).cmp(&(b.corner, &b.net)));
+
+    let run = match reduced {
+        Some(design) => engine.run(&design, opts),
+        None => {
+            let mut run = engine.run_jobs(
+                plan.members.len(),
+                plan.jobs(),
+                &plan.dups,
+                |m| &plan.names[m],
+                opts,
+            );
+            run.design = name;
+            run
+        }
+    };
+
+    sweep_span.note(spec.corners as f64, plan.members.len() as f64);
+    SweepRun::from_run(base, spec, run, plan.members, plan.rejected, generate_wall)
+}
+
+/// A distinct solve circuit among the base design's nets.
+struct BaseCircuit<'a> {
+    circuit: &'a Circuit,
+    pattern: u64,
+}
+
+/// One base net's place in the partition.
+struct BaseNet {
+    /// Index of its distinct solve circuit.
+    circuit: usize,
+    /// The first net with its structural hash: itself, or an earlier net
+    /// it duplicates.
+    source: usize,
+    hash: u64,
+    output: NodeId,
+}
+
+/// One value vector drawn for a distinct base circuit.
+struct Draw {
+    /// The corner that drew it.
+    corner: usize,
+    circuit: usize,
+    values: Vec<f64>,
+    /// Members observing its solve, leader first.
+    members: Vec<usize>,
+}
+
+/// A sweep's solve structure: the base nets partitioned into distinct
+/// solve circuits once, one value vector per circuit and admitted corner,
+/// and the members in scheduling order (corner-major × base net).
+struct CornerPlan<'a> {
+    bases: Vec<BaseCircuit<'a>>,
+    nets: Vec<BaseNet>,
+    draws: Vec<Draw>,
+    /// `(corner, base-net index)` per member.
+    members: Vec<(usize, usize)>,
+    /// The draw whose values each member observes.
+    member_draw: Vec<usize>,
+    names: Vec<String>,
+    /// `(member, source member)`: members served as copies — a duplicate
+    /// base net, or every corner of a 0σ sweep after the first, whose
+    /// circuit is the base's.
+    dups: Vec<(usize, usize)>,
+    rejected: Vec<CornerError>,
+}
+
+impl<'a> CornerPlan<'a> {
+    /// Partitions `base` and draws every corner of `order`, once per
+    /// distinct solve circuit. A rejected draw rejects the corner for
+    /// every net over that circuit. Hashing and drawing are pure per-net
+    /// and per-corner work and run on `threads` workers.
+    fn draw(base: &'a Design, spec: &CornerSpec, order: &[usize], threads: usize) -> Self {
+        let (keys, _) = run_indexed(base.len(), threads, |ni, _| {
+            let net = &base.nets()[ni];
+            net_and_circuit_hash(&net.circuit, net.output)
+        });
+        let (dups, solves) =
+            plan_solves(0..base.len(), |ni| keys[ni], |ni| &base.nets()[ni].circuit);
+        let mut circuit_of = vec![0; base.len()];
+        for (g, observers) in solves.iter().enumerate() {
+            for &ni in observers {
+                circuit_of[ni] = g;
+            }
+        }
+        let mut source: Vec<usize> = (0..base.len()).collect();
+        for (ni, j) in dups {
+            circuit_of[ni] = circuit_of[j];
+            source[ni] = j;
+        }
+        let nets: Vec<BaseNet> = base
+            .nets()
+            .iter()
+            .zip(&keys)
+            .enumerate()
+            .map(|(ni, (net, &(hash, _)))| BaseNet {
+                circuit: circuit_of[ni],
+                source: source[ni],
+                hash,
+                output: net.output,
+            })
+            .collect();
+        let bases: Vec<BaseCircuit<'a>> = solves
+            .iter()
+            .map(|observers| {
+                let circuit = &base.nets()[observers[0]].circuit;
+                BaseCircuit {
+                    circuit,
+                    pattern: pattern_key(circuit),
                 }
-                Err(mut e) => {
-                    e.net.clone_from(&net.name);
-                    rejected.push(e);
+            })
+            .collect();
+
+        let taps = nets.len();
+        let mut plan = CornerPlan {
+            bases,
+            nets,
+            draws: Vec::new(),
+            members: Vec::with_capacity(order.len() * taps),
+            member_draw: Vec::with_capacity(order.len() * taps),
+            names: Vec::with_capacity(order.len() * taps),
+            dups: Vec::new(),
+            rejected: Vec::new(),
+        };
+        // A 0σ corner is the base circuit itself: the first scheduled
+        // corner's draw serves every later one.
+        let drawn_corners = if spec.sigma == 0.0 {
+            order.len().min(1)
+        } else {
+            order.len()
+        };
+        let circuits = plan.bases.len();
+        let (values, _) = run_indexed(drawn_corners * circuits, threads, |k, _| {
+            let b = &plan.bases[k % circuits];
+            corner_values(b.circuit, spec, order[k / circuits])
+        });
+        let mut values = values.into_iter();
+        let mut member_of = vec![usize::MAX; spec.corners * taps];
+        let mut drawn: Vec<Option<usize>> = vec![None; circuits];
+        for &corner in order {
+            for (g, slot) in drawn.iter_mut().enumerate() {
+                let Some(values) = values.next() else { break };
+                *slot = match values {
+                    Ok(values) => {
+                        plan.draws.push(Draw {
+                            corner,
+                            circuit: g,
+                            values,
+                            members: Vec::new(),
+                        });
+                        Some(plan.draws.len() - 1)
+                    }
+                    Err(e) => {
+                        for (ni, net) in base.nets().iter().enumerate() {
+                            if plan.nets[ni].circuit == g {
+                                plan.rejected.push(CornerError {
+                                    net: net.name.clone(),
+                                    ..e.clone()
+                                });
+                            }
+                        }
+                        None
+                    }
+                };
+            }
+            for (ni, net) in base.nets().iter().enumerate() {
+                let BaseNet {
+                    circuit, source, ..
+                } = plan.nets[ni];
+                let Some(d) = drawn[circuit] else { continue };
+                let m = plan.members.len();
+                plan.members.push((corner, ni));
+                plan.member_draw.push(d);
+                plan.names.push(format!("{}@c{corner:04}", net.name));
+                member_of[corner * taps + ni] = m;
+                let first = plan.draws[d].corner;
+                if first == corner && source == ni {
+                    plan.draws[d].members.push(m);
+                } else {
+                    plan.dups.push((m, member_of[first * taps + source]));
                 }
             }
         }
+        plan
     }
-    let generate_wall = gen_start.elapsed();
-    CORNERS.add(spec.corners as u64);
-    REJECTED.add(rejected.len() as u64);
-    MEMBERS.add(nets.len() as u64);
-    // Rejections sort by (corner, net index); generation order above is
-    // scheduling order, which must not leak into the report.
-    rejected.sort_by(|a, b| (a.corner, &a.net).cmp(&(b.corner, &b.net)));
 
-    let design = Design::from_nets(format!("{}+sweep", base.name), nets);
-    let run = engine.run(&design, opts);
+    /// One solve job per draw: the corner's value vector over its base
+    /// circuit, observed by the draw's members.
+    fn jobs(&self) -> Vec<SolveJob<'_>> {
+        self.draws
+            .iter()
+            .map(|d| {
+                let b = &self.bases[d.circuit];
+                SolveJob {
+                    source: Source::Corner {
+                        base: b.circuit,
+                        values: &d.values,
+                        admitted: false,
+                    },
+                    pattern: b.pattern,
+                    observers: d
+                        .members
+                        .iter()
+                        .map(|&m| {
+                            let net = &self.nets[self.members[m].1];
+                            Observer {
+                                index: m,
+                                name: &self.names[m],
+                                output: net.output,
+                                hash: net.hash,
+                            }
+                        })
+                        .collect(),
+                }
+            })
+            .collect()
+    }
 
-    let agg_span = awe_obs::span("sweep.aggregate");
-    let nodes = aggregate(base, &run, &members);
-    drop(agg_span);
-    sweep_span.note(spec.corners as f64, members.len() as f64);
-
-    let new_symbolic = run.solves.saturating_sub(run.pattern_hits);
-    SweepRun {
-        design: base.name.clone(),
-        spec: *spec,
-        new_symbolic,
-        new_symbolic_after_donor: new_symbolic.saturating_sub(1),
-        run,
-        members,
-        nodes,
-        rejected,
-        generate_wall,
+    /// Every member as a net over its corner's circuit, in member order.
+    fn design(&self, base: &Design, name: String) -> Design {
+        let nets = self
+            .members
+            .iter()
+            .zip(&self.member_draw)
+            .zip(&self.names)
+            .map(|((&(_, ni), &d), name)| {
+                let net = &base.nets()[ni];
+                NetSpec {
+                    name: name.clone(),
+                    circuit: materialize(&net.circuit, &self.draws[d].values),
+                    output: net.output,
+                }
+            })
+            .collect();
+        Design::from_nets(name, nets)
     }
 }
 
@@ -406,11 +692,10 @@ fn aggregate(base: &Design, run: &BatchRun, members: &[(usize, usize)]) -> Vec<N
 }
 
 /// Builds a sweep-ready [`Design`] from a PDN spec: one net per
-/// observation tap, each over a clone of the same grid circuit. A
-/// corner perturbs every tap's clone with the same stream, so the taps
-/// of a corner are bit-identical circuits: the batch engine solves each
-/// corner once and reads every tap off that one decomposition. Net
-/// names are `pdn:<tap node>`.
+/// observation tap, each over a clone of the same grid circuit. A sweep
+/// sees that the taps are one circuit, draws each corner once for it,
+/// and reads every tap off that one decomposition. Net names are
+/// `pdn:<tap node>`.
 pub fn pdn_design(name: impl Into<String>, spec: &PdnSpec) -> Design {
     let pdn = pdn_grid(spec);
     let nets = pdn

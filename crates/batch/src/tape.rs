@@ -3,8 +3,8 @@
 //! After a structure group's donor net finishes its sparse symbolic
 //! analysis, the group's remaining members all run the *same* pipeline —
 //! stamp values, refactor, moment recursion, Padé/residues, waveform
-//! metrics — differing only in numeric values. [`compile`] captures what
-//! that pipeline shares once per group as a [`GroupTape`] (the shared
+//! metrics — differing only in numeric values. A [`GroupTape`] holds
+//! what that pipeline shares once per group (the shared
 //! [`SharedSymbolic`] analysis and an optional value-only
 //! [`StampProgram`]); [`replay_block`] then runs the members up to
 //! [`LANE_WIDTH`] at a time as straight-line code over pre-sized,
@@ -13,20 +13,26 @@
 //! stamp → lane refactor ([`LaneLu`]) → blocked moments → reduce per
 //! observer.
 //!
-//! A member is a solve job: one circuit plus the nets observing it,
-//! leader first. Stamp, refactor and moments run once per member; the
+//! A member is a solve job: one circuit — a design net's, or a sweep
+//! corner's value vector over its base circuit — plus the nets observing
+//! it, leader first. Stamp, refactor and moments run once per member; the
 //! reduction runs once per observer at that observer's own unknown.
 //!
-//! Groups whose donor ended on the dense path get no tape: their members
+//! The donor itself solves on the group's program where the scalar path
+//! would factor sparse ([`solve_donor`]): stamped like a member, factored
+//! cold, with no dense matrix and no circuit built. Groups whose donor
+//! ended on the dense path get no tape: their members
 //! go to the scalar [`solve_net`](crate::engine) units, which is the
 //! tape-off path. Factoring a small dense `G̃` costs next to nothing, so
 //! recycling its buffers bought no measurable speed (see `DESIGN.md` §13).
 //!
 //! The stamp stage never touches a dense `n×n` matrix for a member the
 //! group's [`StampProgram`] admits: the member's values fold into a copy
-//! of the program's template (the donor's bookkeeping and CSC `G̃`/`C̃`
-//! pattern), kept in the worker's arena slot from block to block. Only a
-//! member the program declines is rebuilt in full.
+//! of the program's template (the system skeleton and CSC `G̃`/`C̃`
+//! pattern), kept in the worker's arena slot from block to block. A
+//! corner member is admitted once per base circuit and stamped straight
+//! from its value vector, with no circuit built. Only a member the
+//! program declines is rebuilt in full.
 //!
 //! Replay is **bit-identical** to the scalar engine path by
 //! construction: every stage goes through the same code the scalar path
@@ -44,15 +50,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use awe::{reduce_decomposition, AweError, SharedSymbolic, StageTimings};
-use awe_circuit::Circuit;
 use awe_mna::{
     decompose_lanes_with, Decomposition, MnaSystem, MomentEngine, MomentWorkspace, StampProgram,
+    SPARSE_THRESHOLD,
 };
-use awe_numeric::{LaneLu, Matrix, SparseMatrix, LANE_WIDTH};
+use awe_numeric::{LaneLu, Matrix, SparseLu, SparseMatrix, LANE_WIDTH};
 
 use crate::engine::{
     blank_result, fill_result, outcome, share, solve_net, BatchOptions, NetResult, Observer,
-    SolveJob, SolveOutcome,
+    SolveJob, SolveOutcome, Source,
 };
 
 /// Tapes compiled this process (one per structure group and pattern).
@@ -69,7 +75,7 @@ static STAMP_APPLIES: awe_obs::Counter = awe_obs::Counter::new("batch.stamp_appl
 
 /// What one structure group's members share at replay.
 ///
-/// Compiled once per group after the donor solve; cached on the
+/// Built once per group by the donor solve; cached on the
 /// [`BatchEngine`](crate::BatchEngine) keyed by the group's pattern key,
 /// so a later single-member run (an ECO re-analysis of one group member)
 /// replays without recompiling. The order and moment count come from the
@@ -111,34 +117,85 @@ pub fn tape_applicable(opts: &BatchOptions) -> bool {
     opts.use_tape && opts.auto_target.is_none()
 }
 
-/// Compiles the tape for one structure group. `symbolic` is the group's
-/// shared pattern; `donor` is the group's donor circuit, from which the
-/// value-only stamping program is compiled when the topology fits its
-/// contract (see [`StampProgram`]). `system` is the donor's assembled
-/// system when the caller has one (the donor's own solve built it); the
-/// program then takes it as its template instead of building another. A
-/// donor outside the contract — or a program whose unknown count
-/// disagrees with the shared pattern (a pattern-key collision) — simply
-/// leaves `program` unset, and replay stamps through the full build path.
-pub fn compile(
-    pattern: u64,
-    donor: Option<&Circuit>,
-    system: Option<MnaSystem>,
-    symbolic: SharedSymbolic,
-) -> GroupTape {
-    TAPES_COMPILED.incr();
-    let program = donor
-        .and_then(|c| match system {
-            Some(sys) => StampProgram::compile_from(c, sys),
-            None => StampProgram::compile(c),
-        })
-        .filter(|p| p.num_unknowns() == symbolic.dim())
-        .map(Arc::new);
-    GroupTape {
-        pattern,
-        symbolic,
-        program,
+impl GroupTape {
+    /// The tape of one structure group: `symbolic` is the group's shared
+    /// pattern and `program` the group's value-only stamping schedule,
+    /// compiled from any member's structure (see [`StampProgram`]). A
+    /// program whose unknown count disagrees with the shared pattern (a
+    /// pattern-key collision) is dropped, and replay stamps through the
+    /// full build path.
+    pub fn new(
+        pattern: u64,
+        program: Option<Arc<StampProgram>>,
+        symbolic: SharedSymbolic,
+    ) -> GroupTape {
+        TAPES_COMPILED.incr();
+        GroupTape {
+            pattern,
+            program: program.filter(|p| p.num_unknowns() == symbolic.dim()),
+            symbolic,
+        }
     }
+}
+
+/// Solves a structure group's donor on the group's stamp program, with no
+/// dense matrix: the donor is stamped like any member (a corner straight
+/// from its value vector), its `G̃` image factored cold under the AMD
+/// order — the group's symbolic analysis — and its moments run on the
+/// images. This is the scalar path's sparse branch on the same CSC
+/// images, so every bit agrees with [`solve_net`]. Returns the outcome
+/// and the analysis, or `None` where the scalar path would go elsewhere —
+/// the program declines the donor, the system is below the sparse
+/// threshold or too dense, no observer is an unknown, or the sparse
+/// factor fails — and the caller solves the donor through [`solve_net`].
+pub(crate) fn solve_donor(
+    program: &StampProgram,
+    job: &SolveJob<'_>,
+    opts: &BatchOptions,
+) -> Option<(SolveOutcome, SharedSymbolic)> {
+    if opts.order == 0 || !program.check(job.structure()) {
+        return None;
+    }
+    let t0 = Instant::now();
+    let (mut sys, mut g_img, mut c_img) = program.instantiate();
+    let stamped = match job.source {
+        Source::Circuit(c) => program.apply(c, &mut sys, &mut g_img, &mut c_img),
+        Source::Corner { base, values, .. } => {
+            program.apply_values(base, values, &mut sys, &mut g_img, &mut c_img)
+        }
+    };
+    let n = sys.num_unknowns();
+    let density = g_img.nnz() as f64 / (n as f64 * n as f64);
+    if !stamped || n < SPARSE_THRESHOLD || density >= 0.05 {
+        return None;
+    }
+    let idxs = observer_unknowns(job, &sys)?;
+    let mna = t0.elapsed();
+    let t1 = Instant::now();
+    let order = g_img.amd_column_order().ok();
+    let lu = SparseLu::factor(&g_img, order.as_deref()).ok()?;
+    let factor = t1.elapsed();
+    let symbolic = lu.symbolic().clone();
+    let t2 = Instant::now();
+    let engine = MomentEngine::from_sparse(&sys, lu, c_img);
+    let decomposed = engine.decompose_with(&mut MomentWorkspace::new(), moment_count(opts));
+    let stages = StageTimings {
+        mna,
+        factor,
+        moments: t2.elapsed(),
+        ..StageTimings::default()
+    };
+    let outcome = match decomposed {
+        Ok(dec) => SolveOutcome {
+            nets: reduce_observers(job, &idxs, &dec, opts, &stages),
+            latency: t0.elapsed(),
+            pattern_hit: false,
+            new_pattern: None,
+            fallback: false,
+        },
+        Err(e) => failed_job(job, opts, Some(&e.into()), stages, t0, false),
+    };
+    Some((outcome, symbolic))
 }
 
 /// One lane position's recycled buffers: a stamped MNA system and the
@@ -196,6 +253,19 @@ pub(crate) struct ReplayStats {
     pub stamped: usize,
     /// Members rebuilt through the full MNA assembly.
     pub rebuilt: usize,
+    /// Corner members built as circuits (see `BatchRun::materialized`).
+    pub materialized: usize,
+}
+
+impl ReplayStats {
+    /// Adds another invocation's counts.
+    pub fn add(&mut self, other: &ReplayStats) {
+        self.lane_blocks += other.lane_blocks;
+        self.lane_lanes += other.lane_lanes;
+        self.stamped += other.stamped;
+        self.rebuilt += other.rebuilt;
+        self.materialized += other.materialized;
+    }
 }
 
 /// Replays the solve `jobs` of one structure group against `tape`, using
@@ -204,7 +274,7 @@ pub(crate) struct ReplayStats {
 /// observer's node. Returns one outcome per job, in job order.
 pub(crate) fn replay_block(
     tape: &GroupTape,
-    jobs: &[SolveJob<'_>],
+    jobs: &[&SolveJob<'_>],
     opts: &BatchOptions,
     arena: &mut WorkerArena,
 ) -> (Vec<SolveOutcome>, ReplayStats) {
@@ -325,16 +395,21 @@ fn reduce_observers(
 /// Stamps one member into a slot. A member the tape's stamp program
 /// admits is stamped from the program — `O(elements + nnz)` value stores
 /// into the recycled slot, or into a fresh copy of the template when the
-/// slot holds another structure — and carries no dense matrix. Any other
-/// member is rebuilt in full, reusing the slot's buffers. `stats` counts
-/// which of the two happened.
+/// slot holds another structure — and carries no dense matrix; a corner
+/// member is stamped straight from its value vector. Any other member is
+/// rebuilt in full (a corner materialized first), reusing the slot's
+/// buffers. `stats` counts which of the two happened.
 fn stamp(
     tape: &GroupTape,
-    circuit: &Circuit,
+    job: &SolveJob<'_>,
     mut recycled: Option<Slot>,
     stats: &mut ReplayStats,
 ) -> Result<Slot, AweError> {
-    if let Some(prog) = tape.program.as_ref().filter(|p| p.check(circuit)) {
+    let admitted = |prog: &StampProgram| match job.source {
+        Source::Circuit(c) => prog.check(c),
+        Source::Corner { admitted, .. } => admitted,
+    };
+    if let Some(prog) = tape.program.as_ref().filter(|p| admitted(p)) {
         let mut slot = match recycled.take() {
             Some(s) if s.program.as_ref().is_some_and(|p| Arc::ptr_eq(p, prog)) => s,
             _ => {
@@ -347,7 +422,14 @@ fn stamp(
                 }
             }
         };
-        if prog.apply(circuit, &mut slot.sys, &mut slot.g_img, &mut slot.c_img) {
+        let (sys, g_img, c_img) = (&mut slot.sys, &mut slot.g_img, &mut slot.c_img);
+        let stamped = match job.source {
+            Source::Circuit(c) => prog.apply(c, sys, g_img, c_img),
+            Source::Corner { base, values, .. } => {
+                prog.apply_values(base, values, sys, g_img, c_img)
+            }
+        };
+        if stamped {
             STAMP_APPLIES.incr();
             stats.stamped += 1;
             return Ok(slot);
@@ -359,7 +441,7 @@ fn stamp(
         Some(s) => (Some(s.sys), Some(s.g_img), Some(s.c_img)),
         None => (None, None, None),
     };
-    let sys = MnaSystem::build_reusing(circuit, sys)?;
+    let sys = MnaSystem::build_reusing(&job.circuit(&mut stats.materialized), sys)?;
     let g_img = refill_or_build(g_img, &sys.g_tilde);
     let c_img = refill_or_build(c_img, &sys.c_tilde);
     Ok(Slot {
@@ -376,7 +458,7 @@ fn stamp(
 /// their neighbors.
 fn replay_lanes(
     tape: &GroupTape,
-    members: &[SolveJob<'_>],
+    members: &[&SolveJob<'_>],
     opts: &BatchOptions,
     arena: &mut WorkerArena,
     outcomes: &mut Vec<SolveOutcome>,
@@ -391,7 +473,7 @@ fn replay_lanes(
     let mut lanes: Vec<Lane> = Vec::with_capacity(members.len());
     for (pos, member) in members.iter().enumerate() {
         let t0 = Instant::now();
-        let slot = match stamp(tape, member.circuit, arena.slots[pos].take(), stats) {
+        let slot = match stamp(tape, member, arena.slots[pos].take(), stats) {
             Ok(slot) => slot,
             Err(e) => {
                 // Scalar parity: `AweEngine::new` fails before any
@@ -497,8 +579,7 @@ fn replay_lanes(
                         moments: moments / live,
                         ..StageTimings::default()
                     };
-                    let nets =
-                        reduce_observers(&members[lane.pos], &lane.idxs, &dec, opts, &shared);
+                    let nets = reduce_observers(members[lane.pos], &lane.idxs, &dec, opts, &shared);
                     arena.ws.recycle(dec);
                     done[lane.pos] = Some(SolveOutcome {
                         nets,
@@ -519,7 +600,13 @@ fn replay_lanes(
 
     fallback.sort_unstable();
     for pos in fallback {
-        done[pos] = Some(scalar_fallback(&members[pos], opts, symbolic, t_block));
+        done[pos] = Some(scalar_fallback(
+            members[pos],
+            opts,
+            symbolic,
+            t_block,
+            stats,
+        ));
     }
     for (pos, slot) in done.into_iter().enumerate() {
         outcomes.push(
@@ -536,15 +623,17 @@ fn scalar_fallback(
     opts: &BatchOptions,
     seed: &SharedSymbolic,
     t0: Instant,
+    stats: &mut ReplayStats,
 ) -> SolveOutcome {
     SCALAR_FALLBACKS.incr();
-    let solved = solve_net(job, opts, Some(seed));
+    let circuit = job.circuit(&mut stats.materialized);
+    let solved = solve_net(&circuit, &job.observers, opts, Some(seed));
     outcome(solved.nets, t0, Some(seed), solved.pattern, true)
 }
 
 /// The scalar path's pre-solve result skeleton for one observer.
 fn base_result(job: &SolveJob<'_>, o: &Observer<'_>, opts: &BatchOptions) -> NetResult {
-    blank_result(o.name, o.hash, job.circuit, opts.order)
+    blank_result(o.name, o.hash, job.structure(), opts.order)
 }
 
 /// Recycles a sparse image in place when its pattern still matches the

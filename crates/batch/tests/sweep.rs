@@ -3,11 +3,13 @@
 //! scheduling orders — determinism by construction, not by accident of
 //! scheduling.
 
+use std::time::Duration;
+
 use proptest::prelude::*;
 
 use awe_batch::{
-    pdn_design, sweep, sweep_json_report, sweep_ordered, BatchEngine, BatchOptions, CornerSpec,
-    Design,
+    corner_circuit, pdn_design, sweep, sweep_json_report, sweep_ordered, BatchEngine, BatchOptions,
+    CornerSpec, Design, NetResult, NetSpec, SweepRun,
 };
 use awe_circuit::pdn::PdnSpec;
 use awe_circuit::Circuit;
@@ -181,4 +183,138 @@ fn chain_fill_stays_one() {
     let design = Design::synthetic_chains(1, 200, 7);
     let fill = fill_ratio(&design.nets()[0].circuit);
     assert_eq!(fill, 1.0, "200-stage chain fill");
+}
+
+/// The sweep as it ran before corners became value vectors: every member
+/// built through `corner_circuit`, named, and run as a design.
+fn materialized_sweep(
+    base: &Design,
+    spec: &CornerSpec,
+    order: &[usize],
+    opts: &BatchOptions,
+) -> SweepRun {
+    let mut members = Vec::new();
+    let mut nets = Vec::new();
+    let mut rejected = Vec::new();
+    for &corner in order {
+        for (ni, net) in base.nets().iter().enumerate() {
+            match corner_circuit(&net.circuit, spec, corner) {
+                Ok(circuit) => {
+                    members.push((corner, ni));
+                    nets.push(NetSpec {
+                        name: format!("{}@c{corner:04}", net.name),
+                        circuit,
+                        output: net.output,
+                    });
+                }
+                Err(mut e) => {
+                    e.net.clone_from(&net.name);
+                    rejected.push(e);
+                }
+            }
+        }
+    }
+    rejected.sort_by(|a, b| (a.corner, &a.net).cmp(&(b.corner, &b.net)));
+    let design = Design::from_nets(format!("{}+sweep", base.name), nets);
+    let run = BatchEngine::new().run(&design, opts);
+    SweepRun::from_run(base, spec, run, members, rejected, Duration::ZERO)
+}
+
+fn bits(v: Option<f64>) -> Option<u64> {
+    v.map(f64::to_bits)
+}
+
+/// Digest, timing-free report, rejection ledger, members, every result's
+/// delay, poles, error and provenance, and the work counters agree.
+fn assert_same_sweep(value: &SweepRun, want: &SweepRun) {
+    assert_eq!(value.digest(), want.digest());
+    assert_eq!(
+        sweep_json_report(value, false),
+        sweep_json_report(want, false)
+    );
+    assert_eq!(value.rejected, want.rejected);
+    assert_eq!(value.members, want.members);
+    assert_eq!(value.run.results.len(), want.run.results.len());
+    let pole_bits = |r: &NetResult| -> Vec<(u64, u64)> {
+        r.poles
+            .iter()
+            .map(|&(re, im)| (re.to_bits(), im.to_bits()))
+            .collect()
+    };
+    for (got, exp) in value.run.results.iter().zip(&want.run.results) {
+        assert_eq!(got.name, exp.name);
+        assert_eq!(bits(got.delay_50), bits(exp.delay_50), "{}", exp.name);
+        assert_eq!(pole_bits(got), pole_bits(exp), "{}", exp.name);
+        assert_eq!(got.error, exp.error, "{}", exp.name);
+        assert_eq!(got.cache_hit, exp.cache_hit, "{}", exp.name);
+    }
+    let counters = |s: &SweepRun| {
+        (
+            s.run.solves,
+            s.run.shared,
+            s.run.stamped,
+            s.run.rebuilt,
+            s.new_symbolic,
+        )
+    };
+    assert_eq!(counters(value), counters(want));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// A sweep through value vectors equals the materialized sweep bit
+    /// for bit: digest, timing-free report, every member's delay, poles
+    /// and error, the rejection ledger and the work counters — at any
+    /// thread count and corner order, on dense and sparse meshes, with
+    /// one tap or four, and with σ = 0.3 rejecting corners.
+    #[test]
+    fn value_path_equals_materialized_path(
+        sparse in 0u8..2,
+        taps in 0u8..2,
+        sigma in 0usize..3,
+        threads in 0u32..3,
+        corners in 1usize..7,
+        seed in 0u64..1000,
+        reverse in 0u8..2,
+    ) {
+        let (sparse, four_taps, reverse) = (sparse == 1, taps == 1, reverse == 1);
+        let sigma = [0.0, 0.05, 0.3][sigma];
+        let threads = 1usize << threads;
+        // 15×15 is past the sparse threshold (donor, tape, lane replay);
+        // 6×6 factors dense and runs every member scalar.
+        let mut base = pdn_design("p", &PdnSpec::square(if sparse { 15 } else { 6 }));
+        if !four_taps {
+            base = Design::from_nets("p", vec![base.nets()[1].clone()]);
+        }
+        let spec = CornerSpec::new(corners, sigma, seed);
+        let mut order: Vec<usize> = (0..corners).collect();
+        if reverse {
+            order.reverse();
+        }
+        let value = sweep_ordered(&BatchEngine::new(), &base, &spec, &order, &opts(threads));
+        let want = materialized_sweep(&base, &spec, &order, &opts(1));
+
+        assert_same_sweep(&value, &want);
+        // On the tape, no member is built as a circuit, the donor included.
+        if sparse && sigma > 0.0 && value.run.solves > 1 {
+            prop_assert_eq!(value.run.materialized, 0);
+        }
+    }
+}
+
+/// σ = 0.3 on a sparse mesh: some corners are rejected at the boundary,
+/// the rest replay on the tape, and both paths agree on all of it.
+#[test]
+fn value_path_equals_materialized_path_with_rejections() {
+    let base = pdn_design("p", &PdnSpec::square(15));
+    let spec = CornerSpec::new(6, 0.3, 16);
+    let order: Vec<usize> = (0..6).rev().collect();
+    let value = sweep_ordered(&BatchEngine::new(), &base, &spec, &order, &opts(2));
+    let want = materialized_sweep(&base, &spec, &order, &opts(1));
+    let rejected: std::collections::BTreeSet<usize> =
+        want.rejected.iter().map(|e| e.corner).collect();
+    assert!(!rejected.is_empty() && want.run.solves >= 2, "{rejected:?}");
+    assert_eq!(value.rejected.len(), rejected.len() * base.len());
+    assert_same_sweep(&value, &want);
 }

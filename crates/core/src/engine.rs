@@ -241,13 +241,6 @@ impl AweEngine {
         &self.system
     }
 
-    /// Consumes the engine, handing back its assembled MNA system (the
-    /// batch engine compiles a structure group's stamp program from its
-    /// donor's system instead of assembling it a second time).
-    pub fn into_system(self) -> MnaSystem {
-        self.system
-    }
-
     /// Wall time [`AweEngine::new`] spent assembling the MNA system.
     pub fn assembly_time(&self) -> Duration {
         self.assembly

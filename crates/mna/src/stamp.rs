@@ -3,25 +3,27 @@
 //! A batch structure group's members share one topology; building each
 //! member's [`MnaSystem`] from scratch costs `O(n²)` in dense-matrix
 //! zeroing and dense→CSC conversion even though only `O(elements)`
-//! numbers actually change. A [`StampProgram`] is compiled once from the
-//! group's donor — from the system the donor's solve already assembled
-//! ([`StampProgram::compile_from`]), or from a fresh build
-//! ([`StampProgram::compile`]) — and keeps two things:
+//! numbers actually change. A [`StampProgram`] is compiled once per
+//! group, from any member's circuit and without any dense matrix
+//! ([`StampProgram::compile`]), and keeps two things:
 //!
-//! * a **template**: the donor's system with its dense `n×n` `g`, `c`,
-//!   `g_tilde` and `c_tilde` emptied (the `n × sources` `B`, the unknown
-//!   numbering and the cap/inductor/source bookkeeping stay), plus the
-//!   donor's CSC `G̃`/`C̃` images as the **pattern**;
-//! * a **schedule**: every value-bearing image entry resolved to its CSC
-//!   storage slot, with the contribution list the dense assembly would
-//!   accumulate there — in element order, so the fold is **bit-identical**
-//!   to a fresh [`MnaSystem::build`] followed by
-//!   [`SparseMatrix::from_dense`].
+//! * a **template**: the circuit's system skeleton — the `n × sources`
+//!   `B`, the unknown numbering and the cap/inductor/source bookkeeping,
+//!   exactly as [`MnaSystem::build`] makes them, with the dense `n×n`
+//!   `g`, `c`, `g_tilde` and `c_tilde` empty — plus the CSC `G̃`/`C̃`
+//!   images as the **pattern**;
+//! * a **schedule**: every image entry resolved to its CSC storage slot,
+//!   with the contribution list the dense assembly would accumulate
+//!   there (each element's stamp, or a branch's constant `±1`) — in
+//!   element order, so the fold is **bit-identical** to a fresh
+//!   [`MnaSystem::build`] followed by [`SparseMatrix::from_dense`].
 //!
 //! A member is stamped into buffers holding the program's structure:
 //! [`StampProgram::instantiate`] hands out a copy of the template and
 //! pattern, and [`StampProgram::apply`] folds the member's values into
-//! them. A stamped system therefore carries **no dense `n×n` matrices**:
+//! them — or [`StampProgram::apply_values`] folds a bare value vector
+//! over an admitted base circuit, so a sweep corner needs no circuit of
+//! its own. A stamped system therefore carries **no dense `n×n` matrices**:
 //! a stray read of `g`, `c`, `g_tilde` or `c_tilde` panics instead of
 //! reading another member's values. Replay reads only the CSC images,
 //! `B` and the bookkeeping.
@@ -39,7 +41,7 @@
 //! optimization.
 
 use awe_circuit::{Circuit, Element, NodeId, Waveform};
-use awe_numeric::{Matrix, SparseMatrix};
+use awe_numeric::SparseMatrix;
 
 use crate::system::MnaSystem;
 
@@ -118,15 +120,14 @@ pub struct StampProgram {
     terms: Vec<(f64, u32)>,
 }
 
-/// The element's scalar stamp magnitude, exactly as [`MnaSystem::build`]
-/// computes it (one division per resistor; IEEE division is
-/// deterministic, so recomputing it per term reproduces the same bits).
-fn stamp_value(el: &Element) -> f64 {
+/// The element's R/C/L value: the entry a value vector holds for it (see
+/// [`StampProgram::apply_values`]). Other kinds carry no stamp term.
+fn element_value(el: &Element) -> f64 {
     match el {
-        Element::Resistor { ohms, .. } => 1.0 / ohms,
+        Element::Resistor { ohms, .. } => *ohms,
         Element::Capacitor { farads, .. } => *farads,
         Element::Inductor { henries, .. } => *henries,
-        _ => unreachable!("only R/C/L carry stamp terms"),
+        _ => 0.0,
     }
 }
 
@@ -213,32 +214,39 @@ impl ElemPlan {
             _ => false,
         }
     }
+
+    /// Whether the element carries a value-vector entry (R/C/L).
+    fn valued(&self) -> bool {
+        matches!(
+            self.check,
+            ElemCheck::Resistor { .. } | ElemCheck::Capacitor { .. } | ElemCheck::Inductor { .. }
+        )
+    }
+
+    /// The element's scalar stamp magnitude for `value`, exactly as
+    /// [`MnaSystem::build`] computes it (one division per resistor; IEEE
+    /// division is deterministic, so recomputing it per term reproduces
+    /// the same bits).
+    fn magnitude(&self, value: f64) -> f64 {
+        match self.check {
+            ElemCheck::Resistor { .. } => 1.0 / value,
+            _ => value,
+        }
+    }
 }
 
 impl StampProgram {
     /// Compiles a stamp program from a donor circuit, or `None` when the
     /// topology is outside the program's contract (floating groups,
     /// controlled sources, non-positive values, explicit initial
-    /// conditions, or any coordinate whose donor entry cancelled out of
-    /// the CSC pattern). Builds the donor's system, then compiles as
-    /// [`StampProgram::compile_from`].
+    /// conditions, or any coordinate whose donor entry cancels to zero).
+    /// No dense matrix is built: the template is the donor's system
+    /// skeleton (numbering, `B`, bookkeeping), and the `G̃`/`C̃` patterns
+    /// hold the donor's values, folded per coordinate in the dense
+    /// assembly's order.
     pub fn compile(circuit: &Circuit) -> Option<StampProgram> {
-        Self::compile_from(circuit, MnaSystem::build(circuit).ok()?)
-    }
-
-    /// Compiles a stamp program from a donor circuit and the system
-    /// [`MnaSystem::build`] assembled for it, which becomes the program's
-    /// template (its dense matrices are dropped once their CSC images are
-    /// taken). The compiled program self-checks against the donor's own
-    /// images bit-for-bit before it is returned. `None` as for
-    /// [`StampProgram::compile`].
-    pub fn compile_from(circuit: &Circuit, mut sys: MnaSystem) -> Option<StampProgram> {
         use std::collections::BTreeMap;
         type TermMap = BTreeMap<(usize, usize), Vec<(f64, u32)>>;
-
-        if !sys.floating.is_empty() {
-            return None;
-        }
 
         /// Mirrors `stamp_conductance`'s four writes, in its write order.
         fn add(map: &mut TermMap, ia: Option<usize>, ib: Option<usize>, e: u32) {
@@ -253,13 +261,28 @@ impl StampProgram {
                 map.entry((b, a)).or_default().push((-1.0, e));
             }
         }
+        /// Mirrors a branch's incidence writes: `±1` in column and row
+        /// `m` at the terminals' unknowns.
+        fn incidence(map: &mut TermMap, ip: Option<usize>, inn: Option<usize>, m: usize) {
+            for (i, sign) in [(ip, 1.0), (inn, -1.0)] {
+                if let Some(i) = i {
+                    map.entry((i, m)).or_default().push((sign, CONST));
+                }
+            }
+            for (i, sign) in [(ip, 1.0), (inn, -1.0)] {
+                if let Some(i) = i {
+                    map.entry((m, i)).or_default().push((sign, CONST));
+                }
+            }
+        }
 
+        let sys = MnaSystem::skeleton(circuit)?;
         let mut elems = Vec::with_capacity(circuit.elements().len());
         let mut g_terms = TermMap::new();
         let mut c_terms = TermMap::new();
         let (mut caps, mut inds, mut srcs) = (0u32, 0u32, 0u32);
         for (e, el) in circuit.elements().iter().enumerate() {
-            let e32 = u32::try_from(e).ok()?;
+            let e32 = u32::try_from(e).ok().filter(|&e| e != CONST)?;
             let plan = match el {
                 Element::Resistor { name, a, b, ohms } => {
                     if !positive(*ohms) {
@@ -314,6 +337,12 @@ impl StampProgram {
                         return None;
                     }
                     let m = sys.branch_of(name)?;
+                    incidence(
+                        &mut g_terms,
+                        sys.unknown_of_node(*a),
+                        sys.unknown_of_node(*b),
+                        m,
+                    );
                     c_terms.entry((m, m)).or_default().push((-1.0, e32));
                     let entry = inds;
                     inds += 1;
@@ -327,6 +356,13 @@ impl StampProgram {
                     }
                 }
                 Element::VoltageSource { name, pos, neg, .. } => {
+                    let m = sys.branch_of(name)?;
+                    incidence(
+                        &mut g_terms,
+                        sys.unknown_of_node(*pos),
+                        sys.unknown_of_node(*neg),
+                        m,
+                    );
                     let source = srcs;
                     srcs += 1;
                     ElemPlan {
@@ -351,45 +387,60 @@ impl StampProgram {
                     }
                 }
                 // Controlled sources put *values* into G's pattern — out
-                // of contract.
+                // of contract (the skeleton declines them too).
                 _ => return None,
             };
             elems.push(plan);
         }
 
-        let g_img = SparseMatrix::from_dense(&sys.g_tilde);
-        let c_img = SparseMatrix::from_dense(&sys.c_tilde);
+        // Each pattern holds the donor's folded values; a coordinate that
+        // folds to zero would be missing from the dense assembly's image,
+        // so the program declines the donor.
+        let n = sys.num_unknowns();
         let mut terms = Vec::new();
-        let mut writes = |map: &TermMap, img: &SparseMatrix| -> Option<Vec<SlotWrite>> {
-            let mut out = Vec::with_capacity(map.len());
+        let mut image = |map: &TermMap| -> Option<(SparseMatrix, Vec<SlotWrite>)> {
+            let mut triplets = Vec::with_capacity(map.len());
+            let mut ranges = Vec::with_capacity(map.len());
             for (&(r, c), list) in map {
-                let slot = img.slot_of(r, c)?;
                 let start = u32::try_from(terms.len()).ok()?;
                 terms.extend_from_slice(list);
-                out.push(SlotWrite {
-                    slot: u32::try_from(slot).ok()?,
-                    start,
-                    len: list.len() as u32,
-                });
+                ranges.push((r, c, start, u32::try_from(list.len()).ok()?));
             }
-            Some(out)
+            let prog = |terms: &[(f64, u32)], start: u32, len: u32| {
+                let mut acc = 0.0;
+                for &(sign, e) in &terms[start as usize..(start + len) as usize] {
+                    acc += term_value(&elems, sign, e, |e| element_value(&circuit.elements()[e]));
+                }
+                acc
+            };
+            for &(r, c, start, len) in &ranges {
+                triplets.push((r, c, prog(&terms, start, len)));
+            }
+            let img = SparseMatrix::from_triplets(n, n, &triplets);
+            let writes = ranges
+                .iter()
+                .map(|&(r, c, start, len)| {
+                    Some(SlotWrite {
+                        slot: u32::try_from(img.slot_of(r, c)?).ok()?,
+                        start,
+                        len,
+                    })
+                })
+                .collect::<Option<Vec<_>>>()?;
+            Some((img, writes))
         };
-        let g_writes = writes(&g_terms, &g_img)?;
-        let c_writes = writes(&c_terms, &c_img)?;
-        for m in [&mut sys.g, &mut sys.c, &mut sys.g_tilde, &mut sys.c_tilde] {
-            *m = Matrix::zeros(0, 0);
-        }
-        let prog = StampProgram {
+        let (g_pattern, g_writes) = image(&g_terms)?;
+        let (c_pattern, c_writes) = image(&c_terms)?;
+        Some(StampProgram {
             num_nodes: circuit.num_nodes(),
             template: sys,
-            g_pattern: g_img,
-            c_pattern: c_img,
+            g_pattern,
+            c_pattern,
             elems,
             g_writes,
             c_writes,
             terms,
-        };
-        prog.self_check(circuit).then_some(prog)
+        })
     }
 
     /// Unknown count of the compiled topology.
@@ -436,8 +487,55 @@ impl StampProgram {
         g_img: &mut SparseMatrix,
         c_img: &mut SparseMatrix,
     ) -> bool {
+        let elems = circuit.elements();
+        self.check(circuit)
+            && self.stamp_with(circuit, |e| element_value(&elems[e]), sys, g_img, c_img)
+    }
+
+    /// [`StampProgram::apply`] for a member given as a value vector over
+    /// `base`: `values[e]` is element `e`'s resistance, capacitance or
+    /// inductance (entries of other elements are ignored), and every
+    /// other field — terminals, names, source waveforms — is `base`'s.
+    /// The values fold through the same per-slot term lists as
+    /// [`StampProgram::apply`], so stamping `values` equals applying
+    /// `base` with those values written in, bit for bit.
+    ///
+    /// `base` must pass [`StampProgram::check`]: element admission is the
+    /// caller's, once per base circuit, not once per member. Here only
+    /// the value gate runs (every R/C/L entry finite and positive).
+    /// Returns `false` — touching nothing — on a failed gate or buffers
+    /// out of contract.
+    pub fn apply_values(
+        &self,
+        base: &Circuit,
+        values: &[f64],
+        sys: &mut MnaSystem,
+        g_img: &mut SparseMatrix,
+        c_img: &mut SparseMatrix,
+    ) -> bool {
+        debug_assert!(self.check(base), "value vector over an unadmitted base");
+        values.len() == self.elems.len()
+            && self
+                .elems
+                .iter()
+                .zip(values)
+                .all(|(p, &v)| !p.valued() || positive(v))
+            && self.stamp_with(base, |e| values[e], sys, g_img, c_img)
+    }
+
+    /// The stamp shared by [`StampProgram::apply`] and
+    /// [`StampProgram::apply_values`]: element `e`'s R/C/L value is
+    /// `value(e)`, everything else comes from `circuit`.
+    fn stamp_with(
+        &self,
+        circuit: &Circuit,
+        value: impl Fn(usize) -> f64,
+        sys: &mut MnaSystem,
+        g_img: &mut SparseMatrix,
+        c_img: &mut SparseMatrix,
+    ) -> bool {
         let t = &self.template;
-        if !self.check(circuit)
+        if circuit.elements().len() != self.elems.len()
             || sys.num_unknowns() != t.num_unknowns()
             || !sys.floating.is_empty()
             || sys.caps.len() != t.caps.len()
@@ -448,25 +546,24 @@ impl StampProgram {
         {
             return false;
         }
-        let elems = circuit.elements();
         let gv = g_img.values_mut();
         for w in &self.g_writes {
-            gv[w.slot as usize] = self.fold(elems, w.start, w.len);
+            gv[w.slot as usize] = self.fold(&value, w.start, w.len);
         }
         let cv = c_img.values_mut();
         for w in &self.c_writes {
-            cv[w.slot as usize] = self.fold(elems, w.start, w.len);
+            cv[w.slot as usize] = self.fold(&value, w.start, w.len);
         }
-        for (plan, el) in self.elems.iter().zip(elems) {
+        for (e, (plan, el)) in self.elems.iter().zip(circuit.elements()).enumerate() {
             match (&plan.check, el) {
-                (ElemCheck::Capacitor { entry, .. }, Element::Capacitor { farads, .. }) => {
+                (ElemCheck::Capacitor { entry, .. }, Element::Capacitor { .. }) => {
                     let cap = &mut sys.caps[*entry as usize];
-                    cap.farads = *farads;
+                    cap.farads = value(e);
                     cap.initial_voltage = None;
                 }
-                (ElemCheck::Inductor { entry, .. }, Element::Inductor { henries, .. }) => {
+                (ElemCheck::Inductor { entry, .. }, Element::Inductor { .. }) => {
                     let ind = &mut sys.inductors[*entry as usize];
-                    ind.henries = *henries;
+                    ind.henries = value(e);
                     ind.initial_current = None;
                 }
                 (
@@ -491,28 +588,27 @@ impl StampProgram {
 
     /// Accumulates one slot's contributions in element order — the exact
     /// order (and hence bits) of the dense assembly's `+=`/`-=` sequence.
-    fn fold(&self, elems: &[Element], start: u32, len: u32) -> f64 {
+    fn fold(&self, value: &impl Fn(usize) -> f64, start: u32, len: u32) -> f64 {
         let mut acc = 0.0;
         for &(sign, e) in &self.terms[start as usize..(start + len) as usize] {
-            acc += sign * stamp_value(&elems[e as usize]);
+            acc += term_value(&self.elems, sign, e, value);
         }
         acc
     }
+}
 
-    /// Replays the program against the donor's own values and compares
-    /// every produced slot bit-for-bit with the donor's actual images —
-    /// any divergence between the compiled plan and the real assembly
-    /// rejects the program at compile time.
-    fn self_check(&self, circuit: &Circuit) -> bool {
-        let elems = circuit.elements();
-        let agrees = |writes: &[SlotWrite], img: &SparseMatrix| {
-            writes.iter().all(|w| {
-                self.fold(elems, w.start, w.len).to_bits()
-                    == img.values()[w.slot as usize].to_bits()
-            })
-        };
-        agrees(&self.g_writes, &self.g_pattern) && agrees(&self.c_writes, &self.c_pattern)
+/// Element index of a constant `±1` incidence term (a voltage source's
+/// or inductor's branch row and column).
+const CONST: u32 = u32::MAX;
+
+/// One term's contribution: `sign` itself for an incidence term, else
+/// `sign` times the element's stamp magnitude at `value(e)`.
+fn term_value(elems: &[ElemPlan], sign: f64, e: u32, value: impl Fn(usize) -> f64) -> f64 {
+    if e == CONST {
+        return sign;
     }
+    let e = e as usize;
+    sign * elems[e].magnitude(value(e))
 }
 
 #[cfg(test)]
@@ -673,6 +769,46 @@ mod tests {
         donor.add_capacitor("C1", n2, GROUND, 1e-12).unwrap();
         let member = jitter(&donor, 1.09);
         assert_apply_matches_build(&donor, &member);
+    }
+
+    /// Stamping a member's values over the donor equals stamping the
+    /// member itself, bit for bit; a non-positive value is declined.
+    fn assert_values_match_apply(donor: &Circuit, member: &Circuit) {
+        let prog = StampProgram::compile(donor).expect("donor compiles");
+        let values: Vec<f64> = member.elements().iter().map(element_value).collect();
+        let (mut sys, mut g_img, mut c_img) = prog.instantiate();
+        assert!(prog.apply_values(donor, &values, &mut sys, &mut g_img, &mut c_img));
+        assert_stamped_equals_build(member, &sys, &g_img, &c_img);
+
+        let r = member
+            .elements()
+            .iter()
+            .position(|e| matches!(e, Element::Resistor { .. }))
+            .expect("a resistor");
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut vals = values.clone();
+            vals[r] = bad;
+            assert!(!prog.apply_values(donor, &vals, &mut sys, &mut g_img, &mut c_img));
+        }
+        assert!(!prog.apply_values(donor, &values[1..], &mut sys, &mut g_img, &mut c_img));
+    }
+
+    #[test]
+    fn value_vectors_stamp_like_circuits() {
+        let line = rc_line(40, 100.0, 1e-12, Waveform::step(0.0, 5.0));
+        assert_values_match_apply(&line.circuit, &jitter(&line.circuit, 1.37));
+
+        let mut rlc = Circuit::new();
+        let n1 = rlc.node("n1");
+        let n2 = rlc.node("n2");
+        let n3 = rlc.node("n3");
+        rlc.add_isource("I1", GROUND, n1, Waveform::step(0.0, 1e-3))
+            .unwrap();
+        rlc.add_resistor("R1", n1, n2, 50.0).unwrap();
+        rlc.add_inductor("L1", n2, n3, 1e-9).unwrap();
+        rlc.add_resistor("R2", n3, GROUND, 75.0).unwrap();
+        rlc.add_capacitor("C1", n3, GROUND, 2e-12).unwrap();
+        assert_values_match_apply(&rlc, &jitter(&rlc, 0.8));
     }
 
     #[test]

@@ -144,115 +144,44 @@ impl MnaSystem {
         circuit: &Circuit,
         recycle: Option<MnaSystem>,
     ) -> Result<MnaSystem, MnaError> {
+        let mut sys = recycle.unwrap_or_else(MnaSystem::empty);
+        let n = sys.number_and_record(circuit);
         let MnaSystem {
             mut g,
             mut c,
-            mut b,
+            b,
             mut g_tilde,
             mut c_tilde,
             mut floating,
-            mut sources,
-            mut caps,
-            mut inductors,
-            mut node_unknown,
-            mut branch_of,
+            sources,
+            caps,
+            inductors,
+            node_unknown,
+            branch_of,
             ..
-        } = recycle.unwrap_or_else(|| MnaSystem {
-            g: Matrix::zeros(0, 0),
-            c: Matrix::zeros(0, 0),
-            b: Matrix::zeros(0, 0),
-            g_tilde: Matrix::zeros(0, 0),
-            c_tilde: Matrix::zeros(0, 0),
-            floating: Vec::new(),
-            sources: Vec::new(),
-            caps: Vec::new(),
-            inductors: Vec::new(),
-            node_unknown: Vec::new(),
-            branch_of: HashMap::new(),
-            num_unknowns: 0,
-        });
-        // Pass 1: number the unknowns. Node voltages first (ground
-        // excluded), then branch currents for V, E, H, L in element order.
-        node_unknown.clear();
-        node_unknown.resize(circuit.num_nodes(), None);
-        branch_of.clear();
-        let mut next = 0usize;
-        for node in 0..circuit.num_nodes() {
-            if node != GROUND {
-                node_unknown[node] = Some(next);
-                next += 1;
-            }
-        }
-        for e in circuit.elements() {
-            match e {
-                Element::VoltageSource { name, .. }
-                | Element::Vcvs { name, .. }
-                | Element::Ccvs { name, .. }
-                | Element::Inductor { name, .. } => {
-                    branch_of.insert(name.clone(), next);
-                    next += 1;
-                }
-                _ => {}
-            }
-        }
-        let n = next;
-
+        } = sys;
         g.reset_zeros(n, n);
         c.reset_zeros(n, n);
-        sources.clear();
-        caps.clear();
-        inductors.clear();
-
-        // First collect sources so B has stable column count.
-        for (idx, e) in circuit.elements().iter().enumerate() {
-            match e {
-                Element::VoltageSource { name, waveform, .. }
-                | Element::CurrentSource { name, waveform, .. } => sources.push(SourceEntry {
-                    name: name.clone(),
-                    waveform: waveform.clone(),
-                    element: idx,
-                }),
-                _ => {}
-            }
-        }
-        b.reset_zeros(n, sources.len());
-        let source_col: HashMap<&str, usize> = sources
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.name.as_str(), i))
-            .collect();
-
         let un = |node: NodeId| -> Option<usize> { node_unknown[node] };
 
         // Pass 2: stamps.
-        for (idx, e) in circuit.elements().iter().enumerate() {
+        for e in circuit.elements() {
             match e {
                 Element::Resistor { a, b: bb, ohms, .. } => {
                     let gval = 1.0 / ohms;
                     stamp_conductance(&mut g, un(*a), un(*bb), gval);
                 }
                 Element::Capacitor {
-                    a,
-                    b: bb,
-                    farads,
-                    initial_voltage,
-                    ..
+                    a, b: bb, farads, ..
                 } => {
                     stamp_conductance(&mut c, un(*a), un(*bb), *farads);
-                    caps.push(CapEntry {
-                        ia: un(*a),
-                        ib: un(*bb),
-                        farads: *farads,
-                        initial_voltage: *initial_voltage,
-                        element: idx,
-                    });
                 }
                 Element::Inductor {
                     name,
                     a,
                     b: bb,
                     henries,
-                    initial_current,
+                    ..
                 } => {
                     let m = branch_of[name.as_str()];
                     // KCL: current m leaves a, enters b.
@@ -270,18 +199,9 @@ impl MnaSystem {
                         g[(m, ib)] -= 1.0;
                     }
                     c[(m, m)] -= henries;
-                    inductors.push(IndEntry {
-                        branch: m,
-                        ia: un(*a),
-                        ib: un(*bb),
-                        henries: *henries,
-                        initial_current: *initial_current,
-                        element: idx,
-                    });
                 }
                 Element::VoltageSource { name, pos, neg, .. } => {
                     let m = branch_of[name.as_str()];
-                    let col = source_col[name.as_str()];
                     if let Some(ip) = un(*pos) {
                         g[(ip, m)] += 1.0;
                     }
@@ -294,19 +214,8 @@ impl MnaSystem {
                     if let Some(inn) = un(*neg) {
                         g[(m, inn)] -= 1.0;
                     }
-                    b[(m, col)] = 1.0;
                 }
-                Element::CurrentSource { name, from, to, .. } => {
-                    let col = source_col[name.as_str()];
-                    // Current u leaves `from` through the source: KCL row
-                    // gains -u on the RHS at `from`, +u at `to`.
-                    if let Some(i) = un(*from) {
-                        b[(i, col)] -= 1.0;
-                    }
-                    if let Some(i) = un(*to) {
-                        b[(i, col)] += 1.0;
-                    }
-                }
+                Element::CurrentSource { .. } => {}
                 Element::Vccs {
                     from,
                     to,
@@ -392,53 +301,7 @@ impl MnaSystem {
             }
         }
 
-        // Detect floating groups (§3.1): connected components over
-        // *conductive* edges (R, L, V, E, H) that do not reach ground.
-        let mut uf: Vec<usize> = (0..circuit.num_nodes()).collect();
-        fn find(uf: &mut [usize], mut x: usize) -> usize {
-            while uf[x] != x {
-                uf[x] = uf[uf[x]];
-                x = uf[x];
-            }
-            x
-        }
-        for e in circuit.elements() {
-            let conductive = matches!(
-                e,
-                Element::Resistor { .. }
-                    | Element::Inductor { .. }
-                    | Element::VoltageSource { .. }
-                    | Element::Vcvs { .. }
-                    | Element::Ccvs { .. }
-            );
-            if conductive {
-                let (a_t, b_t) = e.terminals();
-                let (ra, rb) = (find(&mut uf, a_t), find(&mut uf, b_t));
-                if ra != rb {
-                    uf[ra] = rb;
-                }
-            }
-        }
-        let ground_root = find(&mut uf, GROUND);
-        let mut groups_by_root: HashMap<usize, Vec<usize>> = HashMap::new();
-        let mut touched = vec![false; circuit.num_nodes()];
-        for e in circuit.elements() {
-            for node in e.nodes() {
-                touched[node] = true;
-            }
-        }
-        for node in 0..circuit.num_nodes() {
-            if node == GROUND || !touched[node] {
-                continue;
-            }
-            let root = find(&mut uf, node);
-            if root != ground_root {
-                if let Some(iu) = node_unknown[node] {
-                    groups_by_root.entry(root).or_default().push(iu);
-                }
-            }
-        }
-
+        let groups_by_root = floating_groups(circuit, &node_unknown);
         g_tilde.copy_from(&g);
         c_tilde.copy_from(&c);
         floating.clear();
@@ -507,6 +370,146 @@ impl MnaSystem {
             branch_of,
             num_unknowns: n,
         })
+    }
+
+    /// The system of `circuit` without its dense `n×n` matrices: the
+    /// unknown numbering, `B` and the cap/inductor/source bookkeeping
+    /// exactly as [`MnaSystem::build`] makes them, with `g`, `c`,
+    /// `g_tilde` and `c_tilde` empty. `None` for a circuit with floating
+    /// groups or an element other than R/C/L/V/I: `G̃` then differs from
+    /// `G`, or `G` carries values no bookkeeping records.
+    pub(crate) fn skeleton(circuit: &Circuit) -> Option<MnaSystem> {
+        let passive_or_source = |e: &Element| {
+            matches!(
+                e,
+                Element::Resistor { .. }
+                    | Element::Capacitor { .. }
+                    | Element::Inductor { .. }
+                    | Element::VoltageSource { .. }
+                    | Element::CurrentSource { .. }
+            )
+        };
+        if !circuit.elements().iter().all(passive_or_source) {
+            return None;
+        }
+        let mut sys = MnaSystem::empty();
+        sys.number_and_record(circuit);
+        floating_groups(circuit, &sys.node_unknown)
+            .is_empty()
+            .then_some(sys)
+    }
+
+    /// A system with nothing in it, for [`MnaSystem::build_reusing`] to
+    /// fill.
+    fn empty() -> MnaSystem {
+        MnaSystem {
+            g: Matrix::zeros(0, 0),
+            c: Matrix::zeros(0, 0),
+            b: Matrix::zeros(0, 0),
+            g_tilde: Matrix::zeros(0, 0),
+            c_tilde: Matrix::zeros(0, 0),
+            floating: Vec::new(),
+            sources: Vec::new(),
+            caps: Vec::new(),
+            inductors: Vec::new(),
+            node_unknown: Vec::new(),
+            branch_of: HashMap::new(),
+            num_unknowns: 0,
+        }
+    }
+
+    /// Numbers the unknowns — node voltages first (ground excluded),
+    /// then branch currents for V, E, H, L in element order — and fills
+    /// the source columns, `B` and the cap/inductor bookkeeping, in
+    /// element order. Returns the unknown count.
+    fn number_and_record(&mut self, circuit: &Circuit) -> usize {
+        self.node_unknown.clear();
+        self.node_unknown.resize(circuit.num_nodes(), None);
+        self.branch_of.clear();
+        let mut next = 0usize;
+        for node in 0..circuit.num_nodes() {
+            if node != GROUND {
+                self.node_unknown[node] = Some(next);
+                next += 1;
+            }
+        }
+        for e in circuit.elements() {
+            match e {
+                Element::VoltageSource { name, .. }
+                | Element::Vcvs { name, .. }
+                | Element::Ccvs { name, .. }
+                | Element::Inductor { name, .. } => {
+                    self.branch_of.insert(name.clone(), next);
+                    next += 1;
+                }
+                _ => {}
+            }
+        }
+        self.num_unknowns = next;
+
+        self.sources.clear();
+        self.caps.clear();
+        self.inductors.clear();
+        let num_sources = circuit.elements().iter().filter(|e| e.is_source()).count();
+        self.b.reset_zeros(next, num_sources);
+        let un = |node: NodeId| -> Option<usize> { self.node_unknown[node] };
+        for (idx, e) in circuit.elements().iter().enumerate() {
+            match e {
+                Element::Capacitor {
+                    a,
+                    b: bb,
+                    farads,
+                    initial_voltage,
+                    ..
+                } => self.caps.push(CapEntry {
+                    ia: un(*a),
+                    ib: un(*bb),
+                    farads: *farads,
+                    initial_voltage: *initial_voltage,
+                    element: idx,
+                }),
+                Element::Inductor {
+                    name,
+                    a,
+                    b: bb,
+                    henries,
+                    initial_current,
+                } => self.inductors.push(IndEntry {
+                    branch: self.branch_of[name.as_str()],
+                    ia: un(*a),
+                    ib: un(*bb),
+                    henries: *henries,
+                    initial_current: *initial_current,
+                    element: idx,
+                }),
+                Element::VoltageSource { name, waveform, .. }
+                | Element::CurrentSource { name, waveform, .. } => {
+                    // Sources take `B` columns in element order.
+                    let col = self.sources.len();
+                    self.sources.push(SourceEntry {
+                        name: name.clone(),
+                        waveform: waveform.clone(),
+                        element: idx,
+                    });
+                    match e {
+                        Element::CurrentSource { from, to, .. } => {
+                            // Current u leaves `from` through the source:
+                            // KCL row gains -u on the RHS at `from`, +u at
+                            // `to`.
+                            if let Some(i) = un(*from) {
+                                self.b[(i, col)] -= 1.0;
+                            }
+                            if let Some(i) = un(*to) {
+                                self.b[(i, col)] += 1.0;
+                            }
+                        }
+                        _ => self.b[(self.branch_of[name.as_str()], col)] = 1.0,
+                    }
+                }
+                _ => {}
+            }
+        }
+        next
     }
 
     /// `true` when the circuit contains §3.1 floating groups.
@@ -618,6 +621,60 @@ impl MnaSystem {
     pub fn inductor_current(&self, ind: &IndEntry, x: &[f64]) -> f64 {
         x[ind.branch]
     }
+}
+
+/// Floating groups (§3.1) by root: connected components over
+/// *conductive* edges (R, L, V, E, H) that do not reach ground, as the
+/// member nodes' unknowns.
+fn floating_groups(
+    circuit: &Circuit,
+    node_unknown: &[Option<usize>],
+) -> HashMap<usize, Vec<usize>> {
+    let mut uf: Vec<usize> = (0..circuit.num_nodes()).collect();
+    fn find(uf: &mut [usize], mut x: usize) -> usize {
+        while uf[x] != x {
+            uf[x] = uf[uf[x]];
+            x = uf[x];
+        }
+        x
+    }
+    for e in circuit.elements() {
+        let conductive = matches!(
+            e,
+            Element::Resistor { .. }
+                | Element::Inductor { .. }
+                | Element::VoltageSource { .. }
+                | Element::Vcvs { .. }
+                | Element::Ccvs { .. }
+        );
+        if conductive {
+            let (a_t, b_t) = e.terminals();
+            let (ra, rb) = (find(&mut uf, a_t), find(&mut uf, b_t));
+            if ra != rb {
+                uf[ra] = rb;
+            }
+        }
+    }
+    let ground_root = find(&mut uf, GROUND);
+    let mut groups_by_root: HashMap<usize, Vec<usize>> = HashMap::new();
+    let mut touched = vec![false; circuit.num_nodes()];
+    for e in circuit.elements() {
+        for node in e.nodes() {
+            touched[node] = true;
+        }
+    }
+    for node in 0..circuit.num_nodes() {
+        if node == GROUND || !touched[node] {
+            continue;
+        }
+        let root = find(&mut uf, node);
+        if root != ground_root {
+            if let Some(iu) = node_unknown[node] {
+                groups_by_root.entry(root).or_default().push(iu);
+            }
+        }
+    }
+    groups_by_root
 }
 
 /// Stamps a conductance-like value `g` between two unknowns (either may be

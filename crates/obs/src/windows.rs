@@ -278,6 +278,14 @@ impl WindowSnapshot {
         }
     }
 
+    /// Adds one observation — a snapshot kept by hand doubles as a
+    /// lifetime histogram in the same buckets as the windows.
+    pub fn record(&mut self, v: f64) {
+        self.count += 1;
+        self.sum += v;
+        self.buckets[bucket_index(v)] += 1;
+    }
+
     /// Adds `other`'s contents into `self` (element-wise).
     pub fn merge(&mut self, other: &WindowSnapshot) {
         self.count += other.count;

@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 use awe_batch::{BatchOptions, BatchRun, Design};
 use awe_circuit::CircuitError;
 use awe_obs::flight::{flight_trace, live_profile, FlightTrigger};
+use awe_obs::windows::WindowSnapshot;
 
 use crate::json::Json;
 use crate::protocol::{parse_request, DesignSource, ErrorCode, Request, RunOpts, ServeError};
@@ -86,8 +87,11 @@ pub struct ServeState {
     /// lines included, so every event recorded under this daemon is
     /// attributable.
     next_request: AtomicU64,
-    /// Per-class request latencies in microseconds, in arrival order.
-    latencies: Mutex<[Vec<u64>; 4]>,
+    /// Per-class lifetime request latencies in microseconds, in the
+    /// power-of-two buckets of the telemetry windows: recording is one
+    /// bucket increment, and a `metrics` reply copies the counts out and
+    /// reads its quantiles after the lock is released.
+    latencies: Mutex<[WindowSnapshot; 4]>,
     /// Rolling-window latency telemetry.
     telemetry: Mutex<Telemetry>,
     /// Flight dumps written, and the most recent dump's path.
@@ -109,7 +113,7 @@ impl ServeState {
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             next_request: AtomicU64::new(1),
-            latencies: Mutex::new([Vec::new(), Vec::new(), Vec::new(), Vec::new()]),
+            latencies: Mutex::new(std::array::from_fn(|_| WindowSnapshot::empty())),
             telemetry: Mutex::new(Telemetry::new()),
             flight_dumps: AtomicU64::new(0),
             last_flight_path: Mutex::new(None),
@@ -143,7 +147,7 @@ impl ServeState {
 
     fn record_latency(&self, class: &str, micros: u64) {
         let slot = CLASSES.iter().position(|c| *c == class).unwrap_or(3);
-        self.latencies.lock().expect("latency metrics")[slot].push(micros);
+        self.latencies.lock().expect("latency metrics")[slot].record(micros as f64);
     }
 
     /// Point-in-time gauges for the exposition. Session sums use
@@ -680,19 +684,17 @@ fn session_metrics(s: &Session) -> Json {
 }
 
 fn global_metrics(state: &ServeState) -> Json {
-    let latencies = state.latencies.lock().expect("latency metrics");
+    let latencies = state.latencies.lock().expect("latency metrics").clone();
     let classes: Vec<(String, Json)> = CLASSES
         .iter()
-        .zip(latencies.iter())
-        .map(|(class, samples)| {
-            let mut sorted = samples.clone();
-            sorted.sort_unstable();
+        .zip(&latencies)
+        .map(|(class, hist)| {
             (
                 (*class).to_owned(),
                 Json::obj(vec![
-                    ("count", Json::from(sorted.len())),
-                    ("p50_us", percentile(&sorted, 50.0)),
-                    ("p99_us", percentile(&sorted, 99.0)),
+                    ("count", Json::from(hist.count)),
+                    ("p50_us", quantile_us(hist, 0.5)),
+                    ("p99_us", quantile_us(hist, 0.99)),
                 ]),
             )
         })
@@ -732,14 +734,17 @@ fn global_metrics(state: &ServeState) -> Json {
     ])
 }
 
-/// Nearest-rank percentile of an already-sorted sample, `null` when
-/// empty.
-fn percentile(sorted: &[u64], p: f64) -> Json {
-    if sorted.is_empty() {
+/// Nearest-rank quantile `q` of a latency histogram in whole
+/// microseconds, `null` when empty: the geometric midpoint of the
+/// power-of-two bucket the rank lands in, rounded — within a factor √2
+/// of the exact order statistic, in the same bucket. A rank in the
+/// underflow bucket (a 0 µs latency) reads 0.
+fn quantile_us(hist: &WindowSnapshot, q: f64) -> Json {
+    if hist.count == 0 {
         return Json::Null;
     }
-    let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    Json::from(sorted[rank.min(sorted.len() - 1)])
+    let v = hist.quantile(q);
+    Json::from(if v < 1.0 { 0 } else { v.round() as u64 })
 }
 
 fn lane_for(session: &str) -> awe_obs::LaneScope {
@@ -852,4 +857,82 @@ pub fn serve_metrics_endpoint(state: Arc<ServeState>, listener: TcpListener) -> 
         });
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use awe_obs::bucket_index;
+
+    fn class_reply(state: &ServeState, class: &str) -> Json {
+        global_metrics(state)
+            .get("classes")
+            .and_then(|c| c.get(class))
+            .cloned()
+            .unwrap_or_else(|| panic!("no class {class}"))
+    }
+
+    /// Exact nearest-rank quantile of `sorted` (the rank the histogram
+    /// walks to).
+    fn exact(sorted: &[u64], q: f64) -> u64 {
+        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+        sorted[rank - 1]
+    }
+
+    #[test]
+    fn latency_quantiles_land_in_the_exact_bucket() {
+        let state = ServeState::new(ServeOptions::default());
+        assert_eq!(class_reply(&state, "eco").get("p50_us"), Some(&Json::Null));
+
+        // A spread over six decades, zeros included.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut samples: Vec<u64> = (0..997)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if i % 50 == 0 {
+                    0
+                } else {
+                    x % 10u64.pow(1 + (x % 6) as u32)
+                }
+            })
+            .collect();
+        for &us in &samples {
+            state.record_latency("eco", us);
+        }
+        samples.sort_unstable();
+        let reply = class_reply(&state, "eco");
+        assert_eq!(reply.get("count").and_then(Json::as_u64), Some(997));
+        for (field, q) in [("p50_us", 0.5), ("p99_us", 0.99)] {
+            let got = reply.get(field).and_then(Json::as_u64).expect(field);
+            let want = exact(&samples, q);
+            assert_eq!(
+                bucket_index(got as f64),
+                bucket_index(want as f64),
+                "{field}: reported {got}, exact {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_request_is_counted_once() {
+        let state = ServeState::new(ServeOptions::default());
+        for _ in 0..25 {
+            handle_line(&state, r#"{"verb":"ping"}"#);
+        }
+        handle_line(&state, "not json");
+        // The metrics request itself records after its reply is built.
+        let reply = class_reply(&state, "other");
+        assert_eq!(reply.get("count").and_then(Json::as_u64), Some(26));
+        let (p50, p99) = (reply.get("p50_us"), reply.get("p99_us"));
+        let (p50, p99) = (p50.and_then(Json::as_u64), p99.and_then(Json::as_u64));
+        assert!(p50.is_some() && p99 >= p50, "{reply}");
+        assert_eq!(
+            class_reply(&state, "eco")
+                .get("count")
+                .and_then(Json::as_u64),
+            Some(0)
+        );
+    }
 }
