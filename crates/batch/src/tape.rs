@@ -10,8 +10,14 @@
 //! [`LANE_WIDTH`] at a time as straight-line code over pre-sized,
 //! recycled buffers (a [`WorkerArena`]):
 //!
-//! stamp → lane refactor ([`LaneLu`]) → blocked moments → reduce per
-//! observer.
+//! stamp → lane refactor ([`LaneLu`]) → per member: extract its lane
+//! factor, run its moment recursion ([`MomentEngine::decompose_with`],
+//! one single-RHS solve per moment) → reduce per observer.
+//!
+//! Lanes pay only on the refactor, where one pass over the shared
+//! pattern serves four members; solving four members' moments in
+//! lockstep cost more per right-hand side than the scalar sparse solve
+//! on power-grid meshes, so each member solves alone (`DESIGN.md` §13).
 //!
 //! A member is a solve job: one circuit — a design net's, or a sweep
 //! corner's value vector over its base circuit — plus the nets observing
@@ -39,8 +45,8 @@
 //! runs or a proven-equal twin of it (program stamping ≡ `build` +
 //! `from_dense`, `build_reusing` ≡ `build`, `refill_from_dense` ≡
 //! `from_dense`, per-lane `LaneLu` factors ≡ scalar refactorization,
-//! `decompose_lanes_with` ≡ per-lane `decompose_with`,
-//! [`reduce_decomposition`] ≡ the engine's delivery policy). Any member
+//! [`reduce_decomposition`] ≡ the engine's delivery policy; the moment
+//! recursion is the scalar `decompose_with` itself). Any member
 //! that diverges — a failed lane refactorization or an unknown-count
 //! mismatch — falls back to the scalar [`solve_net`](crate::engine) for
 //! just that member, which is the tape-off code path verbatim.
@@ -51,8 +57,7 @@ use std::time::{Duration, Instant};
 
 use awe::{reduce_decomposition, AweError, SharedSymbolic, StageTimings};
 use awe_mna::{
-    decompose_lanes_with, Decomposition, MnaSystem, MomentEngine, MomentWorkspace, StampProgram,
-    SPARSE_THRESHOLD,
+    Decomposition, MnaSystem, MomentEngine, MomentWorkspace, StampProgram, SPARSE_THRESHOLD,
 };
 use awe_numeric::{LaneLu, Matrix, SparseLu, SparseMatrix, LANE_WIDTH};
 
@@ -452,8 +457,9 @@ fn stamp(
     })
 }
 
-/// Replays up to [`LANE_WIDTH`] members in lockstep: stamp → lane
-/// refactor → blocked moments → reduce per observer. Members that
+/// Replays up to [`LANE_WIDTH`] members: stamp each, refactor them
+/// together in one [`LaneLu`], then per member extract its lane factor,
+/// run its moment recursion and reduce at every observer. Members that
 /// diverge at any stage drop out to scalar fallback without disturbing
 /// their neighbors.
 fn replay_lanes(
@@ -546,37 +552,26 @@ fn replay_lanes(
     }
 
     if let Some(lu) = lu {
-        // Blocked moment recursion, all lanes in lockstep.
         stats.lane_blocks += 1;
         stats.lane_lanes += lanes.len();
         LANE_OCCUPANCY.record(lanes.len() as f64 / LANE_WIDTH as f64);
-        let t0 = Instant::now();
-        let engines: Vec<MomentEngine<'_>> = lanes
-            .iter_mut()
-            .enumerate()
-            .map(|(k, lane)| {
-                let factor = lu.extract(k).expect("live lane extracts");
-                let c_img = lane.c_img.take().expect("stamp fills the C image");
-                MomentEngine::from_sparse(&lane.sys, factor, c_img)
-            })
-            .collect();
-        let decs = decompose_lanes_with(&engines, &lu, &mut arena.ws, moment_count(opts));
-        let c_imgs: Vec<Option<SparseMatrix>> = engines
-            .into_iter()
-            .map(|e| e.into_sparse().map(|(_, c_img)| c_img))
-            .collect();
-        let moments = t0.elapsed();
-
-        // Reduce each finished lane at every observer.
         let live = lanes.len() as u32;
-        for ((mut lane, c_img), dec) in lanes.into_iter().zip(c_imgs).zip(decs) {
-            lane.c_img = c_img;
+        for (k, mut lane) in lanes.into_iter().enumerate() {
+            // Each member's own moment recursion on its extracted lane
+            // factor, then the reduction at every observer.
+            let t0 = Instant::now();
+            let factor = lu.extract(k).expect("live lane extracts");
+            let c_img = lane.c_img.take().expect("stamp fills the C image");
+            let engine = MomentEngine::from_sparse(&lane.sys, factor, c_img);
+            let dec = engine.decompose_with(&mut arena.ws, moment_count(opts));
+            lane.c_img = engine.into_sparse().map(|(_, c_img)| c_img);
+            let moments = t0.elapsed();
             match dec {
                 Ok(dec) => {
                     let shared = StageTimings {
                         mna: lane.stamp,
                         refactor: refactor / live,
-                        moments: moments / live,
+                        moments,
                         ..StageTimings::default()
                     };
                     let nets = reduce_observers(members[lane.pos], &lane.idxs, &dec, opts, &shared);
@@ -589,7 +584,7 @@ fn replay_lanes(
                         fallback: false,
                     });
                 }
-                // A lane the merged recursion could not finish: replay it
+                // A lane whose recursion could not finish: replay it
                 // scalar, which reproduces the exact scalar-path error
                 // (or result) for that member.
                 Err(_) => fallback.push(lane.pos),

@@ -19,6 +19,8 @@
 //! Values accept standard SPICE magnitude suffixes
 //! (`f p n u m k meg g t`) and are case-insensitive.
 
+use std::collections::HashSet;
+
 use crate::netlist::{Circuit, CircuitError};
 use crate::waveform::Waveform;
 
@@ -127,20 +129,22 @@ pub struct NamedNet {
 /// ```
 pub fn parse_multi_deck(deck: &str) -> Result<Vec<NamedNet>, CircuitError> {
     let mut nets: Vec<NamedNet> = Vec::new();
+    // Names taken so far, so the duplicate check is linear in the deck.
+    let mut seen: HashSet<String> = HashSet::new();
     let mut current = Circuit::new();
     let mut current_name: Option<(String, usize)> = None;
     let mut current_has_cards = false;
 
-    let finish = |nets: &mut Vec<NamedNet>,
-                  circuit: Circuit,
-                  name: Option<(String, usize)>,
-                  has_cards: bool|
+    let mut finish = |nets: &mut Vec<NamedNet>,
+                      circuit: Circuit,
+                      name: Option<(String, usize)>,
+                      has_cards: bool|
      -> Result<(), CircuitError> {
         if !has_cards {
             return Ok(());
         }
         let (name, line) = name.unwrap_or_else(|| (format!("net{}", nets.len() + 1), 0));
-        if nets.iter().any(|n| n.name == name) {
+        if !seen.insert(name.clone()) {
             return Err(perr(line, format!("duplicate net name `{name}`")));
         }
         nets.push(NamedNet { name, circuit });
@@ -707,6 +711,30 @@ R1 a 0 2k
             matches!(
                 &err,
                 CircuitError::Parse { line: 5, message } if message.contains("duplicate net name `dup`")
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn multi_deck_rejects_anonymous_name_collisions() {
+        // The anonymous first net is `net1`; the header naming `net1`
+        // again (line 3) is the duplicate.
+        let err = parse_multi_deck("R1 a 0 1k\n.end\n* NET net1\nR1 a 0 2k\n").unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                CircuitError::Parse { line: 3, message } if message.contains("duplicate net name `net1`")
+            ),
+            "{err:?}"
+        );
+        // An explicit `net2` first, then an anonymous second net that
+        // would be named `net2`: it has no header, so it reports line 0.
+        let err = parse_multi_deck("* NET net2\nR1 a 0 1k\n.end\nR1 a 0 2k\n").unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                CircuitError::Parse { line: 0, message } if message.contains("duplicate net name `net2`")
             ),
             "{err:?}"
         );

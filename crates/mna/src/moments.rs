@@ -123,9 +123,6 @@ pub struct Decomposition {
 }
 
 /// A piece awaiting its moment sequence: everything but `moments`.
-/// Module-scoped so the proto-building and recursion phases of
-/// [`MomentEngine::decompose_with`] can be shared with the lane-merged
-/// [`decompose_lanes_with`] replay path.
 struct Proto {
     kind: PieceKind,
     at: f64,
@@ -182,13 +179,13 @@ pub const SPARSE_THRESHOLD: usize = 192;
 pub struct MomentWorkspace {
     /// Triangular-solve scratch for the sparse path.
     scratch: SolveScratch,
-    /// Stacked block right-hand sides (`pieces × n`).
+    /// One moment step's right-hand side.
     rhs: Vec<f64>,
-    /// Stacked block solutions.
-    blk: Vec<f64>,
+    /// Zero floating-group charges of the homogeneous recursion.
+    zeros: Vec<f64>,
     /// `C̃·x` product buffer.
     cw: Vec<f64>,
-    /// Dense-path per-chunk solve output.
+    /// Row-pinned copy of a charge-aware right-hand side.
     tmp: Vec<f64>,
     /// Recycled moment-sized vectors.
     pool: Vec<Vec<f64>>,
@@ -724,17 +721,24 @@ impl<'a> MomentEngine<'a> {
         // Buffers borrowed out of the workspace for the duration (the
         // inner solves also need `&mut ws`), restored before returning.
         let mut rhs = std::mem::take(&mut ws.rhs);
-        let mut zeros = std::mem::take(&mut ws.blk);
+        let mut zeros = std::mem::take(&mut ws.zeros);
         zeros.clear();
         zeros.resize(n_float, 0.0);
         let outcome = (|| {
-            // m_0 = -G̃⁻¹·(C̃·x_h(0)); the decaying subspace carries zero
-            // group charge, so every floating row is pinned to 0.
-            rhs.clear();
-            rhs.extend(c_xh0.iter().map(|v| -v));
-            let mut prev = ws.take();
-            self.solve_charge_into(&rhs, &zeros, ws, &mut prev)?;
-            for _ in 2..count {
+            // One span per moment step. m_0 = -G̃⁻¹·(C̃·x_h(0)); the
+            // decaying subspace carries zero group charge, so every
+            // floating row is pinned to 0.
+            let mut prev = {
+                let _step_span = awe_obs::span("moment.solve");
+                rhs.clear();
+                rhs.extend(c_xh0.iter().map(|v| -v));
+                let mut m0 = ws.take();
+                self.solve_charge_into(&rhs, &zeros, ws, &mut m0)?;
+                m0
+            };
+            for step in 2..count {
+                let mut step_span = awe_obs::span("moment.solve");
+                step_span.note((step - 1) as f64, 0.0);
                 let mut cw = std::mem::take(&mut ws.cw);
                 self.c_tilde_apply_into(&prev, &mut cw);
                 rhs.clear();
@@ -748,7 +752,7 @@ impl<'a> MomentEngine<'a> {
             Ok(())
         })();
         ws.rhs = rhs;
-        ws.blk = zeros;
+        ws.zeros = zeros;
         outcome.map(|()| seq)
     }
 
@@ -790,12 +794,11 @@ impl<'a> MomentEngine<'a> {
         self.decompose_with(&mut MomentWorkspace::new(), count)
     }
 
-    /// [`Self::decompose`] against a caller-owned workspace. All pieces'
-    /// moment recursions run in lockstep as one blocked multi-RHS
-    /// resubstitution per moment (amortizing each L/U traversal across
-    /// the pieces), with every recurring buffer drawn from the workspace —
-    /// a warm workspace makes the recursion allocate nothing per moment.
-    /// Results are identical to the allocating path.
+    /// [`Self::decompose`] against a caller-owned workspace. Each moment
+    /// of each piece is one `C̃` product and one single-RHS
+    /// resubstitution into workspace buffers, so a warm workspace makes
+    /// the recursion allocate nothing per moment. Results are identical
+    /// to the allocating path.
     ///
     /// # Errors
     ///
@@ -808,23 +811,8 @@ impl<'a> MomentEngine<'a> {
     ) -> Result<Decomposition, MnaError> {
         let mut dec_span = awe_obs::span("mna.decompose");
         dec_span.note(count as f64, self.system.num_unknowns() as f64);
-        let (state, protos) = self.build_protos()?;
-        self.finish_decompose(ws, state, protos, count)
-    }
-
-    /// The recursion-and-merge tail of [`MomentEngine::decompose_with`]:
-    /// runs the blocked lockstep moment recursion over prebuilt protos and
-    /// assembles the merged pieces. Split out so the lane-merged
-    /// [`decompose_lanes_with`] fallback path completes a lane through the
-    /// *identical* statements as a scalar decomposition.
-    fn finish_decompose(
-        &self,
-        ws: &mut MomentWorkspace,
-        state: InitialState,
-        mut protos: Vec<Proto>,
-        count: usize,
-    ) -> Result<Decomposition, MnaError> {
-        let seqs = self.blocked_moments(ws, &mut protos, count)?;
+        let (state, mut protos) = self.build_protos()?;
+        let seqs = self.piece_moments(ws, &mut protos, count)?;
         Ok(Decomposition {
             baseline: state.dc_solution,
             pieces: finish_pieces(protos, seqs),
@@ -997,94 +985,27 @@ impl<'a> MomentEngine<'a> {
         Ok((state, protos))
     }
 
-    /// The blocked lockstep moment recursion (§3.2, "solve many") over
-    /// prebuilt protos, returning one moment sequence per proto (the
-    /// proto's `m_minus1` is taken as the seed). Every piece advances one
-    /// moment per block solve: the right-hand sides stack into one
-    /// multi-RHS resubstitution, so each L/U traversal is paid once per
-    /// moment instead of once per piece. Per-column arithmetic matches the
-    /// single-RHS recursion exactly.
-    #[allow(clippy::type_complexity)]
-    fn blocked_moments(
+    /// The moment recursion (§3.2) of every proto: each piece's
+    /// sequence is [`MomentEngine::homogeneous_moments_with`] seeded with
+    /// the proto's `m_minus1` and that vector's `C̃` image, one
+    /// single-RHS resubstitution per moment.
+    fn piece_moments(
         &self,
         ws: &mut MomentWorkspace,
         protos: &mut [Proto],
         count: usize,
     ) -> Result<Vec<Vec<Vec<f64>>>, MnaError> {
-        let sys = self.system;
-        let n = sys.num_unknowns();
-        let np = protos.len();
-        // Sequence length mirrors `homogeneous_moments`: `count == 1`
-        // yields just `m_{-1}`, otherwise `m_{-1}` plus
-        // `1 + (count - 2)` recursion steps.
-        let extra = if count == 1 {
-            0
-        } else {
-            1 + count.saturating_sub(2)
-        };
-        let mut seqs: Vec<Vec<Vec<f64>>> = protos
+        protos
             .iter_mut()
             .map(|p| {
-                let mut seq = Vec::with_capacity(1 + extra);
-                seq.push(std::mem::take(&mut p.m_minus1));
+                let m_minus1 = std::mem::take(&mut p.m_minus1);
+                let mut c_seed = ws.take();
+                self.c_tilde_apply_into(&m_minus1, &mut c_seed);
+                let seq = self.homogeneous_moments_with(ws, m_minus1, &c_seed, count);
+                ws.give(c_seed);
                 seq
             })
-            .collect();
-        if np > 0 && extra > 0 {
-            let mut rhs = std::mem::take(&mut ws.rhs);
-            let mut blk = std::mem::take(&mut ws.blk);
-            let mut cw = std::mem::take(&mut ws.cw);
-            let mut tmp = std::mem::take(&mut ws.tmp);
-            let outcome = (|| {
-                rhs.clear();
-                rhs.resize(np * n, 0.0);
-                for step in 0..extra {
-                    // One span per blocked moment solve: all pieces
-                    // advance one moment in this region.
-                    let mut step_span = awe_obs::span("moment.solve");
-                    step_span.note(step as f64, np as f64);
-                    for (p, seq) in seqs.iter().enumerate() {
-                        let prev = seq.last().expect("seeded sequence");
-                        self.c_tilde_apply_into(prev, &mut cw);
-                        let chunk = &mut rhs[p * n..(p + 1) * n];
-                        for (d, v) in chunk.iter_mut().zip(&cw) {
-                            *d = -v;
-                        }
-                        // Decaying subspace carries zero group charge:
-                        // pin every floating row to 0.
-                        for g in &sys.floating {
-                            chunk[g.replaced_row] = 0.0;
-                        }
-                    }
-                    match &self.lu {
-                        Factorization::Sparse(lu) => {
-                            lu.solve_multi_into(&rhs, np, &mut ws.scratch, &mut blk)?;
-                        }
-                        Factorization::Dense(lu) => {
-                            blk.clear();
-                            blk.resize(np * n, 0.0);
-                            for p in 0..np {
-                                lu.solve_into(&rhs[p * n..(p + 1) * n], &mut tmp)?;
-                                blk[p * n..(p + 1) * n].copy_from_slice(&tmp);
-                            }
-                        }
-                    }
-                    for (p, seq) in seqs.iter_mut().enumerate() {
-                        let mut m = ws.take();
-                        m.clear();
-                        m.extend_from_slice(&blk[p * n..(p + 1) * n]);
-                        seq.push(m);
-                    }
-                }
-                Ok::<(), NumericError>(())
-            })();
-            ws.rhs = rhs;
-            ws.blk = blk;
-            ws.cw = cw;
-            ws.tmp = tmp;
-            outcome?;
-        }
-        Ok(seqs)
+            .collect()
     }
 
     /// The matrix `M = G̃⁻¹·C̃`, whose nonzero eigenvalues `μ` give the
@@ -1163,21 +1084,14 @@ fn finish_pieces(protos: impl IntoIterator<Item = Proto>, seqs: Vec<Vec<Vec<f64>
     merged
 }
 
-/// Decomposes up to [`LANE_WIDTH`] structurally identical systems in
-/// lockstep against one lane-refactored factorization: the batch tape
-/// VM's multi-RHS moment op. `engines[i]` must hold lane `i` of `lanes`
-/// extracted as its scalar factorization (so the proto-building solves go
-/// through exactly the values lane `i` carries).
-///
-/// Per lane the result is **bit-identical** to
-/// `engines[i].decompose_with(ws, count)`: proto building runs through
-/// each lane's own engine; the blocked recursion runs merged through
-/// [`LaneLu::solve_multi_into`] (proven bitwise against the scalar
-/// multi-RHS solve) whenever every lane carries the same piece count, and
-/// falls back to the per-lane scalar recursion — the identical
-/// statements — when the piece counts diverge or a lane's proto building
-/// fails. A failing lane yields its own `Err` without disturbing its
-/// neighbors.
+/// Decomposes up to [`LANE_WIDTH`] structurally identical systems, one
+/// per lane of a lane refactorization: `engines[i]` must hold lane `i` of
+/// `lanes` extracted as its scalar factorization. Each lane runs its own
+/// [`MomentEngine::decompose_with`], so per lane the result is
+/// **bit-identical** to that call and a failing lane yields its own `Err`
+/// without disturbing its neighbors. `lanes` itself is not read again:
+/// lanes pay on refactorization, while solving them in lockstep cost more
+/// per right-hand side than the scalar solve.
 ///
 /// # Panics
 ///
@@ -1185,7 +1099,7 @@ fn finish_pieces(protos: impl IntoIterator<Item = Proto>, seqs: Vec<Vec<Vec<f64>
 /// entries.
 pub fn decompose_lanes_with(
     engines: &[MomentEngine<'_>],
-    lanes: &LaneLu,
+    _lanes: &LaneLu,
     ws: &mut MomentWorkspace,
     count: usize,
 ) -> Vec<Result<Decomposition, MnaError>> {
@@ -1193,118 +1107,10 @@ pub fn decompose_lanes_with(
         !engines.is_empty() && engines.len() <= LANE_WIDTH,
         "1..={LANE_WIDTH} lane engines required"
     );
-    let built: Vec<Result<(InitialState, Vec<Proto>), MnaError>> =
-        engines.iter().map(|e| e.build_protos()).collect();
-    let n = lanes.dim();
-    // Sequence length mirrors `blocked_moments` exactly.
-    let extra = if count == 1 {
-        0
-    } else {
-        1 + count.saturating_sub(2)
-    };
-    let np = match &built[0] {
-        Ok((_, p)) => p.len(),
-        Err(_) => 0,
-    };
-    let mergeable = engines.len() >= 2
-        && np > 0
-        && extra > 0
-        && built
-            .iter()
-            .all(|b| matches!(b, Ok((_, p)) if p.len() == np));
-    if !mergeable {
-        // Divergent lanes (different piece structure, or a failed proto
-        // build): complete each lane through the scalar recursion — the
-        // same statements `decompose_with` runs.
-        return built
-            .into_iter()
-            .zip(engines)
-            .map(|(b, e)| {
-                b.and_then(|(state, protos)| e.finish_decompose(ws, state, protos, count))
-            })
-            .collect();
-    }
-    let mut sp = awe_obs::span("mna.decompose_lanes");
-    sp.note(count as f64, (n * engines.len()) as f64);
-    let mut states = Vec::with_capacity(engines.len());
-    let mut protos_all: Vec<Vec<Proto>> = Vec::with_capacity(engines.len());
-    for b in built {
-        let (s, p) = b.expect("mergeable implies all lanes built");
-        states.push(s);
-        protos_all.push(p);
-    }
-    let mut seqs: Vec<Vec<Vec<Vec<f64>>>> = protos_all
-        .iter_mut()
-        .map(|protos| {
-            protos
-                .iter_mut()
-                .map(|p| {
-                    let mut seq = Vec::with_capacity(1 + extra);
-                    seq.push(std::mem::take(&mut p.m_minus1));
-                    seq
-                })
-                .collect()
-        })
-        .collect();
-    let mut rhs = std::mem::take(&mut ws.rhs);
-    let mut blk = std::mem::take(&mut ws.blk);
-    let mut cw = std::mem::take(&mut ws.cw);
-    let outcome = (|| {
-        rhs.clear();
-        // Lane-blocked layout: `LANE_WIDTH` consecutive `np × n` blocks
-        // (absent/dead lanes stay zero).
-        rhs.resize(LANE_WIDTH * np * n, 0.0);
-        for step in 0..extra {
-            let mut step_span = awe_obs::span("moment.solve");
-            step_span.note(step as f64, (np * engines.len()) as f64);
-            for (lane, eng) in engines.iter().enumerate() {
-                let sys = eng.system;
-                for (p, seq) in seqs[lane].iter().enumerate() {
-                    let prev = seq.last().expect("seeded sequence");
-                    eng.c_tilde_apply_into(prev, &mut cw);
-                    let base = lane * np * n + p * n;
-                    let chunk = &mut rhs[base..base + n];
-                    for (d, v) in chunk.iter_mut().zip(&cw) {
-                        *d = -v;
-                    }
-                    for g in &sys.floating {
-                        chunk[g.replaced_row] = 0.0;
-                    }
-                }
-            }
-            lanes.solve_multi_into(&rhs, np, &mut ws.scratch, &mut blk)?;
-            for (lane, lane_seqs) in seqs.iter_mut().enumerate() {
-                for (p, seq) in lane_seqs.iter_mut().enumerate() {
-                    let base = lane * np * n + p * n;
-                    let mut m = ws.take();
-                    m.clear();
-                    m.extend_from_slice(&blk[base..base + n]);
-                    seq.push(m);
-                }
-            }
-        }
-        Ok::<(), NumericError>(())
-    })();
-    ws.rhs = rhs;
-    ws.blk = blk;
-    ws.cw = cw;
-    match outcome {
-        Ok(()) => states
-            .into_iter()
-            .zip(protos_all)
-            .zip(seqs)
-            .map(|((state, protos), sq)| {
-                Ok(Decomposition {
-                    baseline: state.dc_solution,
-                    pieces: finish_pieces(protos, sq),
-                })
-            })
-            .collect(),
-        Err(e) => engines
-            .iter()
-            .map(|_| Err(MnaError::Numeric(e.clone())))
-            .collect(),
-    }
+    engines
+        .iter()
+        .map(|e| e.decompose_with(ws, count))
+        .collect()
 }
 
 #[cfg(test)]

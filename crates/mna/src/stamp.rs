@@ -245,41 +245,43 @@ impl StampProgram {
     /// hold the donor's values, folded per coordinate in the dense
     /// assembly's order.
     pub fn compile(circuit: &Circuit) -> Option<StampProgram> {
-        use std::collections::BTreeMap;
-        type TermMap = BTreeMap<(usize, usize), Vec<(f64, u32)>>;
+        /// Every `(coordinate, term)` contribution in element write
+        /// order; sorted stably by coordinate before folding, so each
+        /// coordinate's terms keep that order.
+        type TermList = Vec<((usize, usize), (f64, u32))>;
 
         /// Mirrors `stamp_conductance`'s four writes, in its write order.
-        fn add(map: &mut TermMap, ia: Option<usize>, ib: Option<usize>, e: u32) {
+        fn add(list: &mut TermList, ia: Option<usize>, ib: Option<usize>, e: u32) {
             if let Some(a) = ia {
-                map.entry((a, a)).or_default().push((1.0, e));
+                list.push(((a, a), (1.0, e)));
             }
             if let Some(b) = ib {
-                map.entry((b, b)).or_default().push((1.0, e));
+                list.push(((b, b), (1.0, e)));
             }
             if let (Some(a), Some(b)) = (ia, ib) {
-                map.entry((a, b)).or_default().push((-1.0, e));
-                map.entry((b, a)).or_default().push((-1.0, e));
+                list.push(((a, b), (-1.0, e)));
+                list.push(((b, a), (-1.0, e)));
             }
         }
         /// Mirrors a branch's incidence writes: `±1` in column and row
         /// `m` at the terminals' unknowns.
-        fn incidence(map: &mut TermMap, ip: Option<usize>, inn: Option<usize>, m: usize) {
+        fn incidence(list: &mut TermList, ip: Option<usize>, inn: Option<usize>, m: usize) {
             for (i, sign) in [(ip, 1.0), (inn, -1.0)] {
                 if let Some(i) = i {
-                    map.entry((i, m)).or_default().push((sign, CONST));
+                    list.push(((i, m), (sign, CONST)));
                 }
             }
             for (i, sign) in [(ip, 1.0), (inn, -1.0)] {
                 if let Some(i) = i {
-                    map.entry((m, i)).or_default().push((sign, CONST));
+                    list.push(((m, i), (sign, CONST)));
                 }
             }
         }
 
         let sys = MnaSystem::skeleton(circuit)?;
         let mut elems = Vec::with_capacity(circuit.elements().len());
-        let mut g_terms = TermMap::new();
-        let mut c_terms = TermMap::new();
+        let mut g_terms = TermList::new();
+        let mut c_terms = TermList::new();
         let (mut caps, mut inds, mut srcs) = (0u32, 0u32, 0u32);
         for (e, el) in circuit.elements().iter().enumerate() {
             let e32 = u32::try_from(e).ok().filter(|&e| e != CONST)?;
@@ -343,7 +345,7 @@ impl StampProgram {
                         sys.unknown_of_node(*b),
                         m,
                     );
-                    c_terms.entry((m, m)).or_default().push((-1.0, e32));
+                    c_terms.push(((m, m), (-1.0, e32)));
                     let entry = inds;
                     inds += 1;
                     ElemPlan {
@@ -398,13 +400,16 @@ impl StampProgram {
         // so the program declines the donor.
         let n = sys.num_unknowns();
         let mut terms = Vec::new();
-        let mut image = |map: &TermMap| -> Option<(SparseMatrix, Vec<SlotWrite>)> {
-            let mut triplets = Vec::with_capacity(map.len());
-            let mut ranges = Vec::with_capacity(map.len());
-            for (&(r, c), list) in map {
-                let start = u32::try_from(terms.len()).ok()?;
-                terms.extend_from_slice(list);
-                ranges.push((r, c, start, u32::try_from(list.len()).ok()?));
+        let mut image = |list: &mut TermList| -> Option<(SparseMatrix, Vec<SlotWrite>)> {
+            list.sort_by_key(|&(rc, _)| rc);
+            let mut ranges: Vec<(usize, usize, u32, u32)> = Vec::new();
+            for &((r, c), term) in list.iter() {
+                let at = u32::try_from(terms.len()).ok()?;
+                match ranges.last_mut() {
+                    Some(last) if (last.0, last.1) == (r, c) => last.3 += 1,
+                    _ => ranges.push((r, c, at, 1)),
+                }
+                terms.push(term);
             }
             let prog = |terms: &[(f64, u32)], start: u32, len: u32| {
                 let mut acc = 0.0;
@@ -413,9 +418,10 @@ impl StampProgram {
                 }
                 acc
             };
-            for &(r, c, start, len) in &ranges {
-                triplets.push((r, c, prog(&terms, start, len)));
-            }
+            let triplets: Vec<_> = ranges
+                .iter()
+                .map(|&(r, c, start, len)| (r, c, prog(&terms, start, len)))
+                .collect();
             let img = SparseMatrix::from_triplets(n, n, &triplets);
             let writes = ranges
                 .iter()
@@ -429,8 +435,8 @@ impl StampProgram {
                 .collect::<Option<Vec<_>>>()?;
             Some((img, writes))
         };
-        let (g_pattern, g_writes) = image(&g_terms)?;
-        let (c_pattern, c_writes) = image(&c_terms)?;
+        let (g_pattern, g_writes) = image(&mut g_terms)?;
+        let (c_pattern, c_writes) = image(&mut c_terms)?;
         Some(StampProgram {
             num_nodes: circuit.num_nodes(),
             template: sys,

@@ -1,23 +1,27 @@
-//! Multi-lane sparse LU: refactor and solve up to four structurally
-//! identical matrices in lockstep.
+//! Multi-lane sparse LU refactorization: up to four structurally
+//! identical matrices refactored in one pass over their shared pattern.
 //!
-//! The batch engine's tape replay executes the members of a structure
+//! The batch engine's tape replay refactors the members of a structure
 //! group against one shared [`LuSymbolic`] pattern. Replaying the numeric
 //! sweep one member at a time re-reads the same `l_rows`/`u_pos` index
 //! streams once per member; [`LaneLu`] instead carries [`LANE_WIDTH`]
 //! value lanes side by side (lane-strided storage, `vals[idx * 4 + lane]`)
 //! so one pass over the pattern serves every lane. The per-lane arithmetic
 //! — update order, zero-skip guards, pivot admissibility — is exactly the
-//! scalar [`SparseLu::refactor`] / [`SparseLu::solve_multi_into`]
-//! sequence, so each live lane's factors and solutions are bit-identical
-//! to a standalone scalar run (proven by the tests below and by the batch
-//! crate's replay proptests).
+//! scalar [`SparseLu::refactor`] sequence, so each live lane's factor is
+//! bit-identical to a standalone scalar refactorization (proven by the
+//! tests below and by the batch crate's replay proptests).
+//!
+//! Lanes pay only on refactorization. Each live lane is copied back out
+//! with [`LaneLu::extract`] and its moments are solved one right-hand
+//! side at a time through [`SparseLu::solve_into`]: an interleaved
+//! multi-lane solve cost more per right-hand side than that scalar solve
+//! on power-grid meshes (DESIGN.md §13 has the measurements).
 //!
 //! Lanes are independent: a lane whose values make a stored pivot
-//! inadmissible is marked dead (its slots are neutralized to `0`/`1` so
-//! the remaining sweep stays branch-light and NaN-free) and reported
-//! per-lane, while its neighbors complete unperturbed — the divergence
-//! hook the tape VM's scalar-fallback rule builds on.
+//! inadmissible is marked dead and reported per lane, while its
+//! neighbors complete unperturbed — the divergence hook the tape VM's
+//! scalar-fallback rule builds on.
 
 use std::sync::Arc;
 
@@ -26,7 +30,7 @@ use awe_obs::Health;
 use crate::error::NumericError;
 use crate::sparse::SparseMatrix;
 use crate::sparse_lu::{SparseLu, REFACTOR_ADMISSIBILITY, REFACTOR_REJECTED};
-use crate::symbolic::{LuSymbolic, SolveScratch};
+use crate::symbolic::LuSymbolic;
 
 /// Number of value lanes carried by [`LaneLu`]. Four `f64` lanes fill a
 /// cache line and give the compiler a fixed trip count to unroll.
@@ -35,20 +39,19 @@ pub const LANE_WIDTH: usize = 4;
 /// Sparse LU values for up to [`LANE_WIDTH`] matrices sharing one
 /// symbolic pattern, stored lane-strided.
 ///
-/// Built by [`LaneLu::refactor`]; solved with
-/// [`LaneLu::solve_multi_into`]; individual lanes can be copied back out
-/// as scalar factors with [`LaneLu::extract`].
+/// Built by [`LaneLu::refactor`]; each live lane is copied back out as a
+/// scalar factor with [`LaneLu::extract`].
 #[derive(Clone, Debug)]
 pub struct LaneLu {
     symbolic: Arc<LuSymbolic>,
-    /// Lanes that completed refactorization. Dead lanes hold zero values
-    /// and unit pivots so lane-blind sweeps pass through them harmlessly.
+    /// Lanes that completed refactorization. A dead lane's values are
+    /// never read: [`LaneLu::extract`] refuses it.
     live: [bool; LANE_WIDTH],
     /// L values, `l_vals[idx * LANE_WIDTH + lane]`.
     l_vals: Vec<f64>,
     /// U values, `u_vals[idx * LANE_WIDTH + lane]`.
     u_vals: Vec<f64>,
-    /// Pivots, `u_diag[k * LANE_WIDTH + lane]` (dead lanes: `1.0`).
+    /// Pivots, `u_diag[k * LANE_WIDTH + lane]`.
     u_diag: Vec<f64>,
 }
 
@@ -149,15 +152,10 @@ impl LaneLu {
                     col_max = col_max.max(x[s.l_rows[t] * LANE_WIDTH + lane].abs());
                 }
                 if piv == 0.0 || piv.abs() < REFACTOR_ADMISSIBILITY * col_max {
-                    // Lane dies here; clean its accumulator slots so the
-                    // remaining sweep sees zeros (and skips via guards).
-                    for idx in s.u_ptr[k]..s.u_ptr[k + 1] {
-                        x[s.prow[s.u_pos[idx]] * LANE_WIDTH + lane] = 0.0;
-                    }
-                    x[piv_row * LANE_WIDTH + lane] = 0.0;
-                    for t in s.l_ptr[k]..s.l_ptr[k + 1] {
-                        x[s.l_rows[t] * LANE_WIDTH + lane] = 0.0;
-                    }
+                    // Lane dies here. The column reset below zeroes its
+                    // accumulator slots, and with no more scatters every
+                    // later update of the lane multiplies a zero, so the
+                    // guards skip it for the rest of the sweep.
                     live[lane] = false;
                     outcomes[lane] = Err(NumericError::Singular { pivot: k });
                     REFACTOR_REJECTED.incr();
@@ -179,24 +177,6 @@ impl LaneLu {
             for t in s.l_ptr[k]..s.l_ptr[k + 1] {
                 let r = s.l_rows[t] * LANE_WIDTH;
                 x[r..r + LANE_WIDTH].fill(0.0);
-            }
-        }
-
-        // Scrub values of lanes that died mid-sweep: their early columns
-        // hold a valid partial factor that must not leak into lane-blind
-        // solves. (Dead-on-arrival lanes are already all zeros/ones.)
-        for lane in 0..LANE_WIDTH {
-            if live[lane] {
-                continue;
-            }
-            for v in l_vals[lane..].iter_mut().step_by(LANE_WIDTH) {
-                *v = 0.0;
-            }
-            for v in u_vals[lane..].iter_mut().step_by(LANE_WIDTH) {
-                *v = 0.0;
-            }
-            for v in u_diag[lane..].iter_mut().step_by(LANE_WIDTH) {
-                *v = 1.0;
             }
         }
 
@@ -254,126 +234,6 @@ impl LaneLu {
             gather(&self.u_vals),
             gather(&self.u_diag),
         ))
-    }
-
-    /// Blocked multi-RHS solve across all lanes: `rhs` holds
-    /// [`LANE_WIDTH`] consecutive blocks of `nrhs × n` (the scalar
-    /// [`SparseLu::solve_multi_into`] layout, one block per lane), and
-    /// `out` receives the solutions in the same layout.
-    ///
-    /// Each live lane's column results are bit-identical to that lane's
-    /// scalar `solve_multi_into`. Dead lanes pass through as zeros
-    /// (provide zero RHS blocks for them).
-    ///
-    /// # Errors
-    ///
-    /// [`NumericError::DimensionMismatch`] if
-    /// `rhs.len() != dim() * nrhs * LANE_WIDTH`.
-    pub fn solve_multi_into(
-        &self,
-        rhs: &[f64],
-        nrhs: usize,
-        scratch: &mut SolveScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), NumericError> {
-        let s = &*self.symbolic;
-        let n = s.n;
-        if rhs.len() != n * nrhs * LANE_WIDTH {
-            return Err(NumericError::DimensionMismatch {
-                expected: n * nrhs * LANE_WIDTH,
-                actual: rhs.len(),
-            });
-        }
-        if nrhs == 0 {
-            out.clear();
-            return Ok(());
-        }
-        let c_total = nrhs * LANE_WIDTH;
-        let SolveScratch { w, y } = scratch;
-        // Interleave: w[i*C + lane*nrhs + c] = lane's RHS column c, row i.
-        w.clear();
-        w.resize(n * c_total, 0.0);
-        for lane in 0..LANE_WIDTH {
-            let block = &rhs[lane * n * nrhs..(lane + 1) * n * nrhs];
-            for c in 0..nrhs {
-                let col = &block[c * n..(c + 1) * n];
-                for (i, &v) in col.iter().enumerate() {
-                    w[i * c_total + lane * nrhs + c] = v;
-                }
-            }
-        }
-        y.clear();
-        y.resize(n * c_total, 0.0);
-        // Forward: one pattern pass serves every lane and column.
-        for k in 0..n {
-            let pr = s.prow[k];
-            y[k * c_total..(k + 1) * c_total].copy_from_slice(&w[pr * c_total..(pr + 1) * c_total]);
-            for idx in s.l_ptr[k]..s.l_ptr[k + 1] {
-                let r = s.l_rows[idx];
-                let lb = idx * LANE_WIDTH;
-                let lv = [
-                    self.l_vals[lb],
-                    self.l_vals[lb + 1],
-                    self.l_vals[lb + 2],
-                    self.l_vals[lb + 3],
-                ];
-                for lane in 0..LANE_WIDTH {
-                    for c in 0..nrhs {
-                        let t = y[k * c_total + lane * nrhs + c];
-                        if t != 0.0 {
-                            w[r * c_total + lane * nrhs + c] -= t * lv[lane];
-                        }
-                    }
-                }
-            }
-        }
-        // Back: stripes of y only; u_pos entries are all < k.
-        for k in (0..n).rev() {
-            let (lo, hi) = y.split_at_mut(k * c_total);
-            let yk = &mut hi[..c_total];
-            let db = k * LANE_WIDTH;
-            let d = [
-                self.u_diag[db],
-                self.u_diag[db + 1],
-                self.u_diag[db + 2],
-                self.u_diag[db + 3],
-            ];
-            for lane in 0..LANE_WIDTH {
-                for c in 0..nrhs {
-                    yk[lane * nrhs + c] /= d[lane];
-                }
-            }
-            for idx in s.u_ptr[k]..s.u_ptr[k + 1] {
-                let p = s.u_pos[idx];
-                let ub = idx * LANE_WIDTH;
-                let uv = [
-                    self.u_vals[ub],
-                    self.u_vals[ub + 1],
-                    self.u_vals[ub + 2],
-                    self.u_vals[ub + 3],
-                ];
-                for lane in 0..LANE_WIDTH {
-                    for c in 0..nrhs {
-                        let zk = yk[lane * nrhs + c];
-                        if zk != 0.0 {
-                            lo[p * c_total + lane * nrhs + c] -= zk * uv[lane];
-                        }
-                    }
-                }
-            }
-        }
-        // De-interleave, undoing the column permutation per lane/RHS.
-        out.clear();
-        out.resize(n * c_total, 0.0);
-        for k in 0..n {
-            let dst = s.q[k];
-            for lane in 0..LANE_WIDTH {
-                for c in 0..nrhs {
-                    out[lane * n * nrhs + c * n + dst] = y[k * c_total + lane * nrhs + c];
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -475,70 +335,5 @@ mod tests {
                 "lane {lane} must be untouched by lane 2's failure"
             );
         }
-    }
-
-    #[test]
-    fn lane_solve_is_bitwise_scalar_solve() {
-        let (sym, mats) = family();
-        let refs: Vec<&SparseMatrix> = mats.iter().collect();
-        let (lanes, _) = LaneLu::refactor(&sym, &refs);
-        let n = 4;
-        let nrhs = 3;
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let rhs: Vec<f64> = (0..n * nrhs * LANE_WIDTH).map(|_| next()).collect();
-        let mut scratch = SolveScratch::new();
-        let mut out = Vec::new();
-        lanes
-            .solve_multi_into(&rhs, nrhs, &mut scratch, &mut out)
-            .unwrap();
-        for lane in 0..LANE_WIDTH {
-            let scalar = SparseLu::refactor(&sym, &mats[lane]).unwrap();
-            let block = &rhs[lane * n * nrhs..(lane + 1) * n * nrhs];
-            let mut ss = SolveScratch::new();
-            let mut want = Vec::new();
-            scalar
-                .solve_multi_into(block, nrhs, &mut ss, &mut want)
-                .unwrap();
-            assert_eq!(
-                &out[lane * n * nrhs..(lane + 1) * n * nrhs],
-                &want[..],
-                "lane {lane}"
-            );
-        }
-        // Shape errors and the nrhs == 0 no-op.
-        assert!(lanes
-            .solve_multi_into(&rhs[1..], nrhs, &mut scratch, &mut out)
-            .is_err());
-        lanes
-            .solve_multi_into(&[], 0, &mut scratch, &mut out)
-            .unwrap();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn dead_lanes_pass_zeros_through_solves() {
-        let (sym, mats) = family();
-        let refs: Vec<&SparseMatrix> = mats.iter().take(2).collect();
-        let (lanes, _) = LaneLu::refactor(&sym, &refs);
-        let n = 4;
-        let rhs = vec![1.0; n * LANE_WIDTH];
-        let mut scratch = SolveScratch::new();
-        let mut out = Vec::new();
-        lanes
-            .solve_multi_into(&rhs, 1, &mut scratch, &mut out)
-            .unwrap();
-        for lane in 2..LANE_WIDTH {
-            for &v in &out[lane * n..(lane + 1) * n] {
-                assert!(v.is_finite(), "dead lane output must stay finite");
-            }
-        }
-        // Live lanes unaffected by the garbage RHS in dead lanes.
-        let scalar = SparseLu::refactor(&sym, &mats[0]).unwrap();
-        let want = scalar.solve(&rhs[..n]).unwrap();
-        assert_eq!(&out[..n], &want[..]);
     }
 }

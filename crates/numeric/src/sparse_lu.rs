@@ -525,12 +525,15 @@ impl SparseLu {
         w.extend_from_slice(b);
         y.clear();
         y.resize(n, 0.0);
-        for k in 0..n {
-            let t = w[s.prow[k]];
-            y[k] = t;
+        // Each column's row indices and values are zipped, so the inner
+        // loops index only the vector they update.
+        for (k, (&pr, yk)) in s.prow.iter().zip(y.iter_mut()).enumerate() {
+            let t = w[pr];
+            *yk = t;
             if t != 0.0 {
-                for idx in s.l_ptr[k]..s.l_ptr[k + 1] {
-                    w[s.l_rows[idx]] -= t * self.l_vals[idx];
+                let col = s.l_ptr[k]..s.l_ptr[k + 1];
+                for (&r, &l) in s.l_rows[col.clone()].iter().zip(&self.l_vals[col]) {
+                    w[r] -= t * l;
                 }
             }
         }
@@ -539,108 +542,17 @@ impl SparseLu {
             let zk = y[k] / self.u_diag[k];
             y[k] = zk;
             if zk != 0.0 {
-                for idx in s.u_ptr[k]..s.u_ptr[k + 1] {
-                    y[s.u_pos[idx]] -= zk * self.u_vals[idx];
+                let col = s.u_ptr[k]..s.u_ptr[k + 1];
+                for (&p, &u) in s.u_pos[col.clone()].iter().zip(&self.u_vals[col]) {
+                    y[p] -= zk * u;
                 }
             }
         }
         // Undo the column permutation: x[q[k]] = z[k].
         out.clear();
         out.resize(n, 0.0);
-        for k in 0..n {
-            out[s.q[k]] = y[k];
-        }
-        Ok(())
-    }
-
-    /// Blocked multi-RHS solve: `rhs` holds `nrhs` right-hand sides as
-    /// consecutive length-`n` chunks, and `out` receives the solutions in
-    /// the same layout. Internally the block is interleaved so one pass
-    /// over the L/U patterns serves every column — the index/value loads
-    /// of the triangular sweep amortize across the block, which is what
-    /// makes the simultaneous moment recursions of several superposition
-    /// pieces cheaper than solving them one by one.
-    ///
-    /// Each column's result is bit-identical to a standalone
-    /// [`SparseLu::solve_into`] on that column.
-    ///
-    /// # Errors
-    ///
-    /// [`NumericError::DimensionMismatch`] if `rhs.len() != dim() * nrhs`.
-    pub fn solve_multi_into(
-        &self,
-        rhs: &[f64],
-        nrhs: usize,
-        scratch: &mut SolveScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), NumericError> {
-        let s = &*self.symbolic;
-        let n = s.n;
-        if rhs.len() != n * nrhs {
-            return Err(NumericError::DimensionMismatch {
-                expected: n * nrhs,
-                actual: rhs.len(),
-            });
-        }
-        if nrhs == 0 {
-            out.clear();
-            return Ok(());
-        }
-        let SolveScratch { w, y } = scratch;
-        // Interleave: w[i*nrhs + c] = rhs column c, row i. Row-major over
-        // original rows so each L/U entry touches one contiguous stripe.
-        w.clear();
-        w.resize(n * nrhs, 0.0);
-        for c in 0..nrhs {
-            let col = &rhs[c * n..(c + 1) * n];
-            for (i, &v) in col.iter().enumerate() {
-                w[i * nrhs + c] = v;
-            }
-        }
-        y.clear();
-        y.resize(n * nrhs, 0.0);
-        // Forward: per L entry, update the whole stripe.
-        for k in 0..n {
-            let pr = s.prow[k];
-            y[k * nrhs..(k + 1) * nrhs].copy_from_slice(&w[pr * nrhs..(pr + 1) * nrhs]);
-            for idx in s.l_ptr[k]..s.l_ptr[k + 1] {
-                let r = s.l_rows[idx];
-                let lv = self.l_vals[idx];
-                for c in 0..nrhs {
-                    let t = y[k * nrhs + c];
-                    if t != 0.0 {
-                        w[r * nrhs + c] -= t * lv;
-                    }
-                }
-            }
-        }
-        // Back: stripes of y only; u_pos entries are all < k, so split.
-        for k in (0..n).rev() {
-            let (lo, hi) = y.split_at_mut(k * nrhs);
-            let yk = &mut hi[..nrhs];
-            let d = self.u_diag[k];
-            for v in yk.iter_mut() {
-                *v /= d;
-            }
-            for idx in s.u_ptr[k]..s.u_ptr[k + 1] {
-                let p = s.u_pos[idx];
-                let uv = self.u_vals[idx];
-                for c in 0..nrhs {
-                    let zk = yk[c];
-                    if zk != 0.0 {
-                        lo[p * nrhs + c] -= zk * uv;
-                    }
-                }
-            }
-        }
-        // De-interleave, undoing the column permutation per RHS.
-        out.clear();
-        out.resize(n * nrhs, 0.0);
-        for k in 0..n {
-            let dst = s.q[k];
-            for c in 0..nrhs {
-                out[c * n + dst] = y[k * nrhs + c];
-            }
+        for (&qk, &zk) in s.q.iter().zip(y.iter()) {
+            out[qk] = zk;
         }
         Ok(())
     }
@@ -720,7 +632,7 @@ mod tests {
         let mut scratch = SolveScratch::new();
         let mut out = Vec::new();
         assert!(lu
-            .solve_multi_into(&[1.0, 2.0, 3.0], 2, &mut scratch, &mut out)
+            .solve_into(&[1.0, 2.0, 3.0], &mut scratch, &mut out)
             .is_err());
     }
 
@@ -915,40 +827,5 @@ mod tests {
             lu.solve_into(&b, &mut scratch, &mut out).unwrap();
             assert_eq!(out, lu.solve(&b).unwrap(), "trial {trial}");
         }
-    }
-
-    #[test]
-    fn solve_multi_matches_columnwise_solves_bitwise() {
-        let mut state = 0x1234_5678u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(97);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let n = 24;
-        let mut dm = Matrix::zeros(n, n);
-        for i in 0..n {
-            dm[(i, i)] = 5.0 + next();
-            if i + 1 < n {
-                dm[(i, i + 1)] = next();
-                dm[(i + 1, i)] = next();
-            }
-        }
-        let s = SparseMatrix::from_dense(&dm);
-        let lu = SparseLu::factor(&s, None).unwrap();
-        let nrhs = 3;
-        let rhs: Vec<f64> = (0..n * nrhs).map(|_| next()).collect();
-        let mut scratch = SolveScratch::new();
-        let mut block = Vec::new();
-        lu.solve_multi_into(&rhs, nrhs, &mut scratch, &mut block)
-            .unwrap();
-        assert_eq!(block.len(), n * nrhs);
-        for c in 0..nrhs {
-            let single = lu.solve(&rhs[c * n..(c + 1) * n]).unwrap();
-            assert_eq!(&block[c * n..(c + 1) * n], &single[..], "rhs {c}");
-        }
-        // nrhs == 0 is a no-op.
-        lu.solve_multi_into(&[], 0, &mut scratch, &mut block)
-            .unwrap();
-        assert!(block.is_empty());
     }
 }

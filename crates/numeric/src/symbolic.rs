@@ -136,13 +136,12 @@ pub type SharedSymbolic = Arc<LuSymbolic>;
 /// Caller-owned workspaces for triangular solves.
 ///
 /// Threading one of these through repeated [`crate::SparseLu::solve_into`]
-/// / [`crate::SparseLu::solve_multi_into`] calls makes the steady-state
-/// solve path allocation-free: the buffers are cleared and resized in
-/// place, and once warm their capacity is never exceeded for a fixed
-/// problem size.
+/// calls makes the steady-state solve path allocation-free: the buffers
+/// are cleared and resized in place, and once warm their capacity is
+/// never exceeded for a fixed problem size.
 #[derive(Debug, Default)]
 pub struct SolveScratch {
-    /// Permuted right-hand side(s), mutated by forward substitution.
+    /// Permuted right-hand side, mutated by forward substitution.
     pub(crate) w: Vec<f64>,
     /// Intermediate `y = L⁻¹·P·b`, then the back-substitution result.
     pub(crate) y: Vec<f64>,

@@ -7,7 +7,8 @@
 use proptest::prelude::*;
 
 use awesim::batch::{BatchEngine, BatchOptions, BatchRun, Design, NetSpec, RunMetrics};
-use awesim::circuit::{Circuit, Element};
+use awesim::circuit::generators::rc_line;
+use awesim::circuit::{Circuit, Element, Waveform, GROUND};
 use awesim::core::AweOptions;
 use awesim::verify::{CaseParams, TopologyClass};
 
@@ -122,6 +123,48 @@ proptest! {
         let on = BatchEngine::new().run(&design, &opts(true));
         let off = BatchEngine::new().run(&design, &opts(false));
         assert_bit_identical(&on, &off);
+    }
+}
+
+/// Multi-piece excitations on the sparse path: 200-segment lines driven
+/// by a five-breakpoint PWL source (five superposition pieces per
+/// member), one family plain and one with a capacitor-held floating
+/// node, replay through a full and a partial lane block bit-identically
+/// to the tape-off run.
+#[test]
+fn multi_piece_sparse_groups_replay_bit_identically() {
+    let pwl = Waveform::pwl(vec![
+        (0.0, 0.0),
+        (1e-9, 1.0),
+        (2e-9, 1.0),
+        (3e-9, 0.2),
+        (5e-9, 0.8),
+    ]);
+    let g = rc_line(200, 25.0, 2e-14, pwl);
+    let mut floating = g.circuit.clone();
+    let f = floating.node("float");
+    floating
+        .add_capacitor("CF1", g.nodes[100], f, 5e-14)
+        .unwrap();
+    floating.add_capacitor("CF2", f, GROUND, 3e-14).unwrap();
+    for (label, base) in [("plain", g.circuit.clone()), ("floating", floating)] {
+        let nets: Vec<NetSpec> = (0..6)
+            .map(|i| NetSpec {
+                name: format!("{label}{i}"),
+                circuit: jittered(&base, i),
+                output: g.output,
+            })
+            .collect();
+        let design = Design::from_nets(label, nets);
+        let on = BatchEngine::new().run(&design, &opts(true));
+        let off = BatchEngine::new().run(&design, &opts(false));
+        assert_bit_identical(&on, &off);
+        assert_eq!(on.pattern_hits, 5, "{label}");
+        assert_eq!(on.lane_blocks, 2, "{label}: one full and one partial block");
+        assert_eq!(on.scalar_fallbacks, 0, "{label}");
+        for r in &on.results {
+            assert!(r.error.is_none(), "{}: {:?}", r.name, r.error);
+        }
     }
 }
 
