@@ -50,6 +50,22 @@ pub enum NumericError {
         /// Fingerprint of the matrix handed to `refactor`.
         actual: u64,
     },
+    /// A sparse factorization was handed a column order that is not a
+    /// permutation of `0..n`.
+    BadColumnOrder {
+        /// Position in the order of the first offending entry.
+        position: usize,
+        /// The entry there: out of range, or a column listed earlier.
+        column: usize,
+    },
+    /// A sparse factor's count does not fit the `u32` indices its
+    /// pattern is stored in.
+    IndexOverflow {
+        /// What was counted (`"dimension"`, `"L entries"`, `"U entries"`).
+        what: &'static str,
+        /// The count that overflowed.
+        count: usize,
+    },
 }
 
 impl fmt::Display for NumericError {
@@ -76,6 +92,13 @@ impl fmt::Display for NumericError {
                     f,
                     "sparsity pattern {actual:#018x} does not match the analysed pattern {expected:#018x}"
                 )
+            }
+            NumericError::BadColumnOrder { position, column } => write!(
+                f,
+                "column order lists column {column} at position {position}, which is out of range or repeated"
+            ),
+            NumericError::IndexOverflow { what, count } => {
+                write!(f, "{what} count {count} exceeds the u32 index range")
             }
         }
     }
@@ -120,6 +143,22 @@ mod tests {
             }
             .to_string(),
             "sparsity pattern 0x0000000000000002 does not match the analysed pattern 0x0000000000000001"
+        );
+        assert_eq!(
+            NumericError::BadColumnOrder {
+                position: 1,
+                column: 5
+            }
+            .to_string(),
+            "column order lists column 5 at position 1, which is out of range or repeated"
+        );
+        assert_eq!(
+            NumericError::IndexOverflow {
+                what: "L entries",
+                count: 1 << 32
+            }
+            .to_string(),
+            "L entries count 4294967296 exceeds the u32 index range"
         );
     }
 

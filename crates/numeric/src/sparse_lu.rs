@@ -5,7 +5,7 @@
 //! This is the factorization that honors the paper's §3.2 cost model on
 //! general circuits: MNA matrices carry only a few entries per row, and a
 //! left-looking LU whose per-column work is proportional to the *actual*
-//! fill — found by depth-first reachability instead of dense scans — keeps
+//! fill — found by graph reachability instead of dense scans — keeps
 //! both the one-time factorization and every moment resubstitution near
 //! linear for tree- and mesh-like interconnect.
 //!
@@ -13,28 +13,32 @@
 //! in an [`LuSymbolic`]; [`SparseLu::refactor`] replays only the numeric
 //! sweep against a stored pattern, which is what lets a batch of
 //! structurally identical nets pay for symbolic analysis exactly once.
+//!
+//! The factor pops each column's reach off a min-heap in ascending pivot
+//! order and walks each reached L column once; the refactor is the
+//! one-lane instance of [`LaneLu`]'s sweep (DESIGN.md §13).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use awe_obs::Health;
 
 use crate::error::NumericError;
+use crate::lanes::LaneLu;
 use crate::sparse::SparseMatrix;
 use crate::symbolic::{LuSymbolic, SolveScratch};
 
-const NONE: usize = usize::MAX;
+/// Pivot position of a row that is not pivotal yet.
+const NONE: u32 = u32::MAX;
 
 /// Element growth observed across numeric (re)factorizations — max |U|
 /// over max |A| per factorization. Large growth flags a pivot order gone
 /// stale for the current values.
 static PIVOT_GROWTH: awe_obs::Histogram = awe_obs::Histogram::new("lu.pivot_growth");
 
-/// Refactorization admissibility outcomes across a recording. Shared with
-/// the lane-strided refactor in [`crate::lanes`] so scalar and lane sweeps
-/// report through one pair of counters.
+/// Accepted scalar refactorizations (rejections: [`crate::lanes`]).
 static REFACTOR_ACCEPTED: awe_obs::Counter = awe_obs::Counter::new("lu.refactor.accepted");
-pub(crate) static REFACTOR_REJECTED: awe_obs::Counter =
-    awe_obs::Counter::new("lu.refactor.rejected");
 
 /// Records the pivot-growth health event for a finished factorization:
 /// `max |U| / max |A|`, the classic stability monitor for a fixed pivot
@@ -69,12 +73,27 @@ fn note_pivot_growth(a: &SparseMatrix, u_vals: &[f64], u_diag: &[f64]) {
 /// sequence that survives value perturbations).
 const PIVOT_THRESHOLD: f64 = 0.1;
 
-/// Refactorization admissibility floor, relative to the column maximum:
-/// below this the stored pivot order no longer controls element growth
-/// for the new values and the refactor is rejected as singular. The
-/// lane-strided refactor ([`crate::lanes`]) applies the identical test
-/// per lane.
-pub(crate) const REFACTOR_ADMISSIBILITY: f64 = 1e-10;
+/// `count` as a `u32` pattern index, or the typed overflow naming `what`.
+fn index(count: usize, what: &'static str) -> Result<u32, NumericError> {
+    u32::try_from(count).map_err(|_| NumericError::IndexOverflow { what, count })
+}
+
+/// Checks that `order` is a permutation of `0..n`.
+fn check_order(order: &[usize], n: usize) -> Result<(), NumericError> {
+    if order.len() != n {
+        return Err(NumericError::DimensionMismatch {
+            expected: n,
+            actual: order.len(),
+        });
+    }
+    let mut seen = vec![false; n];
+    for (position, &column) in order.iter().enumerate() {
+        if column >= n || std::mem::replace(&mut seen[column], true) {
+            return Err(NumericError::BadColumnOrder { position, column });
+        }
+    }
+    Ok(())
+}
 
 /// Sparse LU factors `P·A·Q = L·U` with threshold partial pivoting.
 ///
@@ -119,7 +138,7 @@ pub struct SparseLu {
     /// Shared value-independent pattern (column order, pivot sequence,
     /// L/U fill).
     symbolic: Arc<LuSymbolic>,
-    /// L values, aligned with `symbolic.l_rows` (unit diagonal implicit).
+    /// L values, aligned with `symbolic.l_pos` (unit diagonal implicit).
     l_vals: Vec<f64>,
     /// U values, aligned with `symbolic.u_pos`.
     u_vals: Vec<f64>,
@@ -130,11 +149,12 @@ pub struct SparseLu {
 impl SparseLu {
     /// Factors a square sparse matrix, recording the symbolic analysis
     /// for later reuse. `col_order`, if given, lists the original columns
-    /// in elimination order (length `n`, a permutation).
+    /// in elimination order (a permutation of `0..n`).
     ///
     /// Pivoting is threshold-based: the diagonal candidate is kept when
     /// its magnitude is within a factor 10 of the column maximum,
-    /// trading a bounded growth factor for less fill.
+    /// trading a bounded growth factor for less fill. Among equal
+    /// magnitudes the first row of the column's pattern wins.
     ///
     /// The emitted L/U patterns are *structural*: an entry reachable by
     /// the elimination graph is stored even when its value cancels to
@@ -146,6 +166,10 @@ impl SparseLu {
     ///
     /// * [`NumericError::NotSquare`] for non-square input.
     /// * [`NumericError::DimensionMismatch`] for a bad `col_order` length.
+    /// * [`NumericError::BadColumnOrder`] when `col_order` lists a column
+    ///   out of range or twice.
+    /// * [`NumericError::IndexOverflow`] when the dimension or the fill
+    ///   does not fit the pattern's `u32` indices.
     /// * [`NumericError::Singular`] when a column has no usable pivot.
     pub fn factor(a: &SparseMatrix, col_order: Option<&[usize]>) -> Result<SparseLu, NumericError> {
         let mut sp = awe_obs::span("lu.factor");
@@ -156,114 +180,79 @@ impl SparseLu {
             });
         }
         let n = a.rows();
+        // Positions stay below `n`, so `NONE` never collides with one.
+        index(n, "dimension")?;
         let q: Vec<usize> = match col_order {
             Some(order) => {
-                if order.len() != n {
-                    return Err(NumericError::DimensionMismatch {
-                        expected: n,
-                        actual: order.len(),
-                    });
-                }
+                check_order(order, n)?;
                 order.to_vec()
             }
             None => (0..n).collect(),
         };
 
         let mut pinv = vec![NONE; n]; // original row → pivot position
-        let mut prow = vec![NONE; n];
-        let mut l_ptr = vec![0usize];
-        let mut l_rows: Vec<usize> = Vec::new();
+        let mut prow = vec![0usize; n];
+        let mut l_ptr = vec![0u32];
+        // Original rows while the factorization runs, mapped in place to
+        // pivot positions once every row has one.
+        let mut l_pos: Vec<u32> = Vec::new();
         let mut l_vals: Vec<f64> = Vec::new();
-        let mut u_ptr = vec![0usize];
-        let mut u_pos: Vec<usize> = Vec::new();
+        let mut u_ptr = vec![0u32];
+        let mut u_pos: Vec<u32> = Vec::new();
         let mut u_vals: Vec<f64> = Vec::new();
         let mut u_diag = vec![0.0f64; n];
 
         // Workspaces.
         let mut x = vec![0.0f64; n]; // dense accumulator over original rows
         let mut marked = vec![false; n]; // rows present in the pattern
-        let mut pattern: Vec<usize> = Vec::new();
-        let mut visited = vec![false; n]; // pivot positions seen by DFS
-        let mut reach: Vec<usize> = Vec::new(); // reached pivot columns
-        let mut dfs_stack: Vec<(usize, usize)> = Vec::new();
+        let mut pattern: Vec<usize> = Vec::new(); // in discovery order
+        let mut reach: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
 
         for k in 0..n {
             let j = q[k];
-            // --- Symbolic: pivot columns reachable from A(:,j). ---
-            reach.clear();
-            let (a_rows, a_vals) = a.col(j);
-            for &i in a_rows {
-                let start = pinv[i];
-                if start != NONE && !visited[start] {
-                    // Iterative DFS with explicit (node, edge cursor).
-                    dfs_stack.push((start, l_ptr[start]));
-                    visited[start] = true;
-                    while let Some(&mut (node, ref mut cursor)) = dfs_stack.last_mut() {
-                        let end = l_ptr[node + 1];
-                        let mut descended = false;
-                        while *cursor < end {
-                            let r = l_rows[*cursor];
-                            *cursor += 1;
-                            let m = pinv[r];
-                            if m != NONE && !visited[m] {
-                                visited[m] = true;
-                                dfs_stack.push((m, l_ptr[m]));
-                                descended = true;
-                                break;
-                            }
-                        }
-                        if !descended {
-                            reach.push(node);
-                            dfs_stack.pop();
-                        }
-                    }
-                }
-            }
-            for &m in &reach {
-                visited[m] = false; // reset for the next column
-            }
-            // Ascending pivot order is a valid schedule (every updater of
-            // row `prow[m]` is a column < m) and — unlike DFS post-order —
-            // is reproducible from the stored U pattern alone, which is
-            // what lets `refactor` skip the DFS entirely.
-            reach.sort_unstable();
-
-            // --- Structural pattern: A(:,j) rows ∪ L rows of the reach. ---
+            // Scatter A(:,j); queue the pivotal rows it touches.
             pattern.clear();
+            let (a_rows, a_vals) = a.col(j);
             for (&i, &v) in a_rows.iter().zip(a_vals) {
                 x[i] = v;
                 if !marked[i] {
                     marked[i] = true;
                     pattern.push(i);
+                    if pinv[i] != NONE {
+                        reach.push(Reverse(pinv[i]));
+                    }
                 }
             }
-            for &m in &reach {
-                for idx in l_ptr[m]..l_ptr[m + 1] {
-                    let r = l_rows[idx];
+            // Apply the reach in ascending pivot order. Each column that
+            // updates row `prow[m]` precedes `m` and is itself reached
+            // through smaller positions only, so it pops first and
+            // `x[prow[m]]` is final when `m` pops — the order `refactor`
+            // replays off the U pattern. One walk of L(:,m) extends the
+            // pattern, queues each newly met pivotal row and updates.
+            while let Some(Reverse(m)) = reach.pop() {
+                let m = m as usize;
+                let xm = x[prow[m]];
+                u_pos.push(m as u32);
+                u_vals.push(xm);
+                let col = l_ptr[m] as usize..l_ptr[m + 1] as usize;
+                for (&r, &l) in l_pos[col.clone()].iter().zip(&l_vals[col]) {
+                    let r = r as usize;
                     if !marked[r] {
                         marked[r] = true;
                         pattern.push(r);
                         x[r] = 0.0;
+                        if pinv[r] != NONE {
+                            reach.push(Reverse(pinv[r]));
+                        }
                     }
-                }
-            }
-
-            // --- Numeric: apply reached-column updates, emit U. ---
-            for &m in &reach {
-                // x[prow[m]] is final here: its remaining updaters are all
-                // columns < m, already processed in ascending order.
-                let xm = x[prow[m]];
-                u_pos.push(m);
-                u_vals.push(xm);
-                if xm != 0.0 {
-                    for idx in l_ptr[m]..l_ptr[m + 1] {
-                        x[l_rows[idx]] -= xm * l_vals[idx];
+                    if xm != 0.0 {
+                        x[r] -= xm * l;
                     }
                 }
             }
 
             // --- Pivot among non-pivotal pattern rows. ---
-            let mut best = NONE;
+            let mut best = None;
             let mut best_mag = 0.0f64;
             let mut diag_mag = 0.0f64;
             for &i in &pattern {
@@ -271,21 +260,16 @@ impl SparseLu {
                     let mag = x[i].abs();
                     if mag > best_mag {
                         best_mag = mag;
-                        best = i;
+                        best = Some(i);
                     }
                     if i == j {
                         diag_mag = mag;
                     }
                 }
             }
-            if best == NONE || best_mag == 0.0 {
-                // Clean workspaces before reporting.
-                for &i in &pattern {
-                    x[i] = 0.0;
-                    marked[i] = false;
-                }
+            let Some(best) = best else {
                 return Err(NumericError::Singular { pivot: k });
-            }
+            };
             // Threshold preference for the structural diagonal.
             let piv_row = if diag_mag >= PIVOT_THRESHOLD * best_mag {
                 j
@@ -298,14 +282,14 @@ impl SparseLu {
             // pattern row except the pivot, zeros included). ---
             for &i in &pattern {
                 if pinv[i] == NONE && i != piv_row {
-                    l_rows.push(i);
+                    l_pos.push(i as u32);
                     l_vals.push(x[i] / piv_val);
                 }
             }
             u_diag[k] = piv_val;
-            u_ptr.push(u_pos.len());
-            l_ptr.push(l_rows.len());
-            pinv[piv_row] = k;
+            u_ptr.push(index(u_pos.len(), "U entries")?);
+            l_ptr.push(index(l_pos.len(), "L entries")?);
+            pinv[piv_row] = k as u32;
             prow[k] = piv_row;
 
             // Reset workspaces.
@@ -313,6 +297,9 @@ impl SparseLu {
                 x[i] = 0.0;
                 marked[i] = false;
             }
+        }
+        for p in &mut l_pos {
+            *p = pinv[*p as usize];
         }
 
         if sp.is_live() {
@@ -324,8 +311,9 @@ impl SparseLu {
                 n,
                 q,
                 prow,
+                pinv,
                 l_ptr,
-                l_rows,
+                l_pos,
                 u_ptr,
                 u_pos,
                 a_nnz: a.nnz(),
@@ -341,8 +329,8 @@ impl SparseLu {
     /// Numeric-only refactorization: rebuilds the L/U values for a matrix
     /// with the *same sparsity pattern* as the one `symbolic` was
     /// recorded from, replaying the stored column order, pivot sequence
-    /// and fill pattern. No DFS, no pattern discovery, no pivot search —
-    /// the whole symbolic phase is skipped.
+    /// and fill pattern. No reachability, no pattern discovery, no pivot
+    /// search — the whole symbolic phase is skipped.
     ///
     /// Update order matches [`SparseLu::factor`] (ascending pivot
     /// position), so when the values would lead a fresh factorization to
@@ -362,92 +350,28 @@ impl SparseLu {
         a: &SparseMatrix,
     ) -> Result<SparseLu, NumericError> {
         let mut sp = awe_obs::span("lu.refactor");
-        symbolic.check_matches(a)?;
-        let s = &**symbolic;
-        let n = s.n;
-        let mut l_vals = vec![0.0f64; s.l_rows.len()];
-        let mut u_vals = vec![0.0f64; s.u_pos.len()];
-        let mut u_diag = vec![0.0f64; n];
-        let mut x = vec![0.0f64; n];
-
-        for k in 0..n {
-            let (a_rows, a_vals) = a.col(s.q[k]);
-            for (&i, &v) in a_rows.iter().zip(a_vals) {
-                x[i] = v;
-            }
-            // Replay updates straight off the stored U pattern (ascending
-            // pivot order — see `factor`).
-            for idx in s.u_ptr[k]..s.u_ptr[k + 1] {
-                let m = s.u_pos[idx];
-                let xm = x[s.prow[m]];
-                u_vals[idx] = xm;
-                if xm != 0.0 {
-                    for t in s.l_ptr[m]..s.l_ptr[m + 1] {
-                        x[s.l_rows[t]] -= xm * l_vals[t];
-                    }
-                }
-            }
-            // Stored pivot row, new value: admissible only while it still
-            // dominates its column enough to bound growth.
-            let piv_row = s.prow[k];
-            let piv = x[piv_row];
-            let mut col_max = piv.abs();
-            for t in s.l_ptr[k]..s.l_ptr[k + 1] {
-                col_max = col_max.max(x[s.l_rows[t]].abs());
-            }
-            if piv == 0.0 || piv.abs() < REFACTOR_ADMISSIBILITY * col_max {
-                // Clean the accumulator before reporting.
-                for idx in s.u_ptr[k]..s.u_ptr[k + 1] {
-                    x[s.prow[s.u_pos[idx]]] = 0.0;
-                }
-                x[piv_row] = 0.0;
-                for t in s.l_ptr[k]..s.l_ptr[k + 1] {
-                    x[s.l_rows[t]] = 0.0;
-                }
-                REFACTOR_REJECTED.incr();
-                awe_obs::health(Health::RefactorRejected { pivot: k });
-                return Err(NumericError::Singular { pivot: k });
-            }
-            for t in s.l_ptr[k]..s.l_ptr[k + 1] {
-                l_vals[t] = x[s.l_rows[t]] / piv;
-            }
-            u_diag[k] = piv;
-            // Reset exactly the pattern rows of this column: the pivot
-            // rows behind each U entry, the pivot itself, and the L rows.
-            for idx in s.u_ptr[k]..s.u_ptr[k + 1] {
-                x[s.prow[s.u_pos[idx]]] = 0.0;
-            }
-            x[piv_row] = 0.0;
-            for t in s.l_ptr[k]..s.l_ptr[k + 1] {
-                x[s.l_rows[t]] = 0.0;
-            }
-        }
-
+        let (lanes, mut outcomes) = LaneLu::sweep::<1>(symbolic, &[a]);
+        outcomes.pop().expect("one outcome per lane")?;
+        let lu = lanes.into_scalar();
         if sp.is_live() {
-            sp.note(n as f64, (l_vals.len() + u_vals.len() + n) as f64);
+            sp.note(symbolic.n as f64, lu.factor_nnz() as f64);
             REFACTOR_ACCEPTED.incr();
             awe_obs::health(Health::RefactorAccepted);
-            note_pivot_growth(a, &u_vals, &u_diag);
+            note_pivot_growth(a, &lu.u_vals, &lu.u_diag);
         }
-        Ok(SparseLu {
-            symbolic: Arc::clone(symbolic),
-            l_vals,
-            u_vals,
-            u_diag,
-        })
+        Ok(lu)
     }
 
     /// Assembles a factorization from already-computed numeric values —
-    /// the lane extraction path of [`crate::lanes::LaneLu::extract`],
-    /// which gathers one lane of a lane-strided sweep back into scalar
-    /// layout. The slices must be aligned with `symbolic`'s patterns.
+    /// one lane of a [`LaneLu`] sweep. The slices must be aligned with
+    /// `symbolic`'s patterns.
     pub(crate) fn from_parts(
         symbolic: Arc<LuSymbolic>,
         l_vals: Vec<f64>,
         u_vals: Vec<f64>,
         u_diag: Vec<f64>,
     ) -> SparseLu {
-        debug_assert_eq!(l_vals.len(), symbolic.l_rows.len());
+        debug_assert_eq!(l_vals.len(), symbolic.l_pos.len());
         debug_assert_eq!(u_vals.len(), symbolic.u_pos.len());
         debug_assert_eq!(u_diag.len(), symbolic.n);
         SparseLu {
@@ -459,7 +383,7 @@ impl SparseLu {
     }
 
     /// The numeric values `(L, U, diag)` — crate-internal, for bitwise
-    /// comparison in the lane-kernel tests.
+    /// comparison in the kernel tests.
     #[cfg(test)]
     pub(crate) fn parts(&self) -> (&[f64], &[f64], &[f64]) {
         (&self.l_vals, &self.u_vals, &self.u_diag)
@@ -519,39 +443,36 @@ impl SparseLu {
                 actual: b.len(),
             });
         }
-        let SolveScratch { w, y } = scratch;
-        // Forward: y = L⁻¹·P·b, working over original row indices.
+        // w = P·b, in pivot positions; both sweeps then run in place.
+        let w = &mut scratch.w;
         w.clear();
-        w.extend_from_slice(b);
-        y.clear();
-        y.resize(n, 0.0);
-        // Each column's row indices and values are zipped, so the inner
-        // loops index only the vector they update.
-        for (k, (&pr, yk)) in s.prow.iter().zip(y.iter_mut()).enumerate() {
-            let t = w[pr];
-            *yk = t;
+        w.extend(s.prow.iter().map(|&r| b[r]));
+        // Forward: w = L⁻¹·w. Each column's positions and values are
+        // zipped, so the inner loops index only the vector they update.
+        for k in 0..n {
+            let t = w[k];
             if t != 0.0 {
-                let col = s.l_ptr[k]..s.l_ptr[k + 1];
-                for (&r, &l) in s.l_rows[col.clone()].iter().zip(&self.l_vals[col]) {
-                    w[r] -= t * l;
+                let col = s.l_col(k);
+                for (&p, &l) in s.l_pos[col.clone()].iter().zip(&self.l_vals[col]) {
+                    w[p as usize] -= t * l;
                 }
             }
         }
-        // Back: z = U⁻¹·y (column-oriented).
+        // Back: w = U⁻¹·w (column-oriented).
         for k in (0..n).rev() {
-            let zk = y[k] / self.u_diag[k];
-            y[k] = zk;
+            let zk = w[k] / self.u_diag[k];
+            w[k] = zk;
             if zk != 0.0 {
-                let col = s.u_ptr[k]..s.u_ptr[k + 1];
+                let col = s.u_col(k);
                 for (&p, &u) in s.u_pos[col.clone()].iter().zip(&self.u_vals[col]) {
-                    y[p] -= zk * u;
+                    w[p as usize] -= zk * u;
                 }
             }
         }
         // Undo the column permutation: x[q[k]] = z[k].
         out.clear();
         out.resize(n, 0.0);
-        for (&qk, &zk) in s.q.iter().zip(y.iter()) {
+        for (&qk, &zk) in s.q.iter().zip(w.iter()) {
             out[qk] = zk;
         }
         Ok(())
@@ -560,9 +481,258 @@ impl SparseLu {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::lu::Lu;
     use crate::matrix::Matrix;
+
+    /// Everything a factorization decides, in original-row terms: pivot
+    /// rows, both patterns and the value bits.
+    #[derive(Debug, PartialEq)]
+    struct Factors {
+        prow: Vec<usize>,
+        l_ptr: Vec<usize>,
+        l_rows: Vec<usize>,
+        u_ptr: Vec<usize>,
+        u_pos: Vec<usize>,
+        l_bits: Vec<u64>,
+        u_bits: Vec<u64>,
+        diag_bits: Vec<u64>,
+    }
+
+    fn bits(vals: &[f64]) -> Vec<u64> {
+        vals.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn factors_of(lu: &SparseLu) -> Factors {
+        let s = &*lu.symbolic;
+        let wide = |v: &[u32]| v.iter().map(|&p| p as usize).collect();
+        Factors {
+            prow: s.prow.clone(),
+            l_ptr: wide(&s.l_ptr),
+            l_rows: s.l_pos.iter().map(|&p| s.prow[p as usize]).collect(),
+            u_ptr: wide(&s.u_ptr),
+            u_pos: wide(&s.u_pos),
+            l_bits: bits(&lu.l_vals),
+            u_bits: bits(&lu.u_vals),
+            diag_bits: bits(&lu.u_diag),
+        }
+    }
+
+    /// The factor as it stood before the one-pass kernel, kept as the
+    /// reference that kernel must reproduce bit for bit: a depth-first
+    /// reach per column, sorted into ascending pivot order, then a
+    /// pattern pass and a numeric pass, all over original rows.
+    fn reference_factor(a: &SparseMatrix, q: &[usize]) -> Result<Factors, NumericError> {
+        const NONE: usize = usize::MAX;
+        let n = a.rows();
+        let mut pinv = vec![NONE; n];
+        let mut prow = vec![NONE; n];
+        let mut l_ptr = vec![0usize];
+        let mut l_rows: Vec<usize> = Vec::new();
+        let mut l_vals: Vec<f64> = Vec::new();
+        let mut u_ptr = vec![0usize];
+        let mut u_pos: Vec<usize> = Vec::new();
+        let mut u_vals: Vec<f64> = Vec::new();
+        let mut u_diag = vec![0.0f64; n];
+        let mut x = vec![0.0f64; n];
+        let mut marked = vec![false; n];
+        let mut pattern: Vec<usize> = Vec::new();
+        let mut visited = vec![false; n];
+        let mut reach: Vec<usize> = Vec::new();
+        let mut dfs_stack: Vec<(usize, usize)> = Vec::new();
+
+        for k in 0..n {
+            let j = q[k];
+            reach.clear();
+            let (a_rows, a_vals) = a.col(j);
+            for &i in a_rows {
+                let start = pinv[i];
+                if start != NONE && !visited[start] {
+                    dfs_stack.push((start, l_ptr[start]));
+                    visited[start] = true;
+                    while let Some(&mut (node, ref mut cursor)) = dfs_stack.last_mut() {
+                        let end = l_ptr[node + 1];
+                        let mut descended = false;
+                        while *cursor < end {
+                            let r = l_rows[*cursor];
+                            *cursor += 1;
+                            let m = pinv[r];
+                            if m != NONE && !visited[m] {
+                                visited[m] = true;
+                                dfs_stack.push((m, l_ptr[m]));
+                                descended = true;
+                                break;
+                            }
+                        }
+                        if !descended {
+                            reach.push(node);
+                            dfs_stack.pop();
+                        }
+                    }
+                }
+            }
+            for &m in &reach {
+                visited[m] = false;
+            }
+            reach.sort_unstable();
+
+            pattern.clear();
+            for (&i, &v) in a_rows.iter().zip(a_vals) {
+                x[i] = v;
+                if !marked[i] {
+                    marked[i] = true;
+                    pattern.push(i);
+                }
+            }
+            for &m in &reach {
+                for idx in l_ptr[m]..l_ptr[m + 1] {
+                    let r = l_rows[idx];
+                    if !marked[r] {
+                        marked[r] = true;
+                        pattern.push(r);
+                        x[r] = 0.0;
+                    }
+                }
+            }
+            for &m in &reach {
+                let xm = x[prow[m]];
+                u_pos.push(m);
+                u_vals.push(xm);
+                if xm != 0.0 {
+                    for idx in l_ptr[m]..l_ptr[m + 1] {
+                        x[l_rows[idx]] -= xm * l_vals[idx];
+                    }
+                }
+            }
+
+            let mut best = NONE;
+            let mut best_mag = 0.0f64;
+            let mut diag_mag = 0.0f64;
+            for &i in &pattern {
+                if pinv[i] == NONE {
+                    let mag = x[i].abs();
+                    if mag > best_mag {
+                        best_mag = mag;
+                        best = i;
+                    }
+                    if i == j {
+                        diag_mag = mag;
+                    }
+                }
+            }
+            if best == NONE || best_mag == 0.0 {
+                return Err(NumericError::Singular { pivot: k });
+            }
+            let piv_row = if diag_mag >= PIVOT_THRESHOLD * best_mag {
+                j
+            } else {
+                best
+            };
+            let piv_val = x[piv_row];
+            for &i in &pattern {
+                if pinv[i] == NONE && i != piv_row {
+                    l_rows.push(i);
+                    l_vals.push(x[i] / piv_val);
+                }
+            }
+            u_diag[k] = piv_val;
+            u_ptr.push(u_pos.len());
+            l_ptr.push(l_rows.len());
+            pinv[piv_row] = k;
+            prow[k] = piv_row;
+            for &i in &pattern {
+                x[i] = 0.0;
+                marked[i] = false;
+            }
+        }
+        Ok(Factors {
+            prow,
+            l_ptr,
+            l_rows,
+            u_ptr,
+            u_pos,
+            l_bits: bits(&l_vals),
+            u_bits: bits(&u_vals),
+            diag_bits: bits(&u_diag),
+        })
+    }
+
+    /// SplitMix64 step.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A random permutation of `0..n`.
+    fn shuffled(n: usize, state: &mut u64) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            p.swap(i, (mix(state) % (i as u64 + 1)) as usize);
+        }
+        p
+    }
+
+    /// A random sparse `n×n` matrix that stresses pivoting: a random
+    /// permutation's entries keep it structurally nonsingular while most
+    /// diagonals stay empty (off-diagonal pivots), values come from a
+    /// small set of equal magnitudes (pivot-search ties), and some stored
+    /// entries are exact zeros of either sign. Also returns a column
+    /// order: natural, random, or AMD.
+    fn stress_matrix(n: usize, seed: u64) -> (SparseMatrix, Option<Vec<usize>>) {
+        const VALUES: [f64; 6] = [1.0, -1.0, 2.0, -2.0, 0.5, 1.0];
+        let mut state = seed;
+        let mut t = Vec::new();
+        for (j, &i) in shuffled(n, &mut state).iter().enumerate() {
+            t.push((i, j, VALUES[(mix(&mut state) % 6) as usize]));
+        }
+        for _ in 0..2 * n {
+            let (i, j) = (mix(&mut state) as usize % n, mix(&mut state) as usize % n);
+            if i != j || mix(&mut state).is_multiple_of(3) {
+                t.push((i, j, VALUES[(mix(&mut state) % 6) as usize]));
+            }
+        }
+        let mut a = SparseMatrix::from_triplets(n, n, &t);
+        for v in a.values_mut() {
+            match mix(&mut state) % 16 {
+                0 => *v = 0.0,
+                1 => *v = -0.0,
+                _ => {}
+            }
+        }
+        let order = match mix(&mut state) % 3 {
+            0 => None,
+            1 => Some(shuffled(n, &mut state)),
+            _ => Some(a.amd_column_order().unwrap()),
+        };
+        (a, order)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass factor reproduces the DFS reference exactly: the
+        /// same pivot rows, the same L/U patterns in the same order and
+        /// the same value bits — or the same error at the same pivot.
+        /// A refactor of the same matrix (the select-based sweep, where
+        /// the factor branches) reproduces those bits too.
+        #[test]
+        fn one_pass_factor_is_the_reference_bit_for_bit(n in 1usize..30, seed in 0u64..u64::MAX) {
+            let (a, order) = stress_matrix(n, seed);
+            let natural: Vec<usize> = (0..n).collect();
+            let reference = reference_factor(&a, order.as_deref().unwrap_or(&natural));
+            let lu = SparseLu::factor(&a, order.as_deref());
+            prop_assert_eq!(lu.as_ref().map(factors_of).map_err(Clone::clone), reference);
+            if let Ok(lu) = lu {
+                let re = SparseLu::refactor(lu.symbolic(), &a).expect("the factor's own pivots");
+                prop_assert_eq!(factors_of(&re), factors_of(&lu));
+            }
+        }
+    }
 
     fn solve_both(d: &Matrix, b: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let dense = Lu::factor(d)
@@ -627,6 +797,29 @@ mod tests {
             SparseLu::factor(&sq, Some(&[0])),
             Err(NumericError::DimensionMismatch { .. })
         ));
+        // Column orders must be permutations: out of range, or repeated.
+        assert_eq!(
+            SparseLu::factor(&sq, Some(&[0, 5])).unwrap_err(),
+            NumericError::BadColumnOrder {
+                position: 1,
+                column: 5
+            }
+        );
+        assert_eq!(
+            SparseLu::factor(&sq, Some(&[0, 0])).unwrap_err(),
+            NumericError::BadColumnOrder {
+                position: 1,
+                column: 0
+            }
+        );
+        assert_eq!(
+            index(1 << 32, "L entries"),
+            Err(NumericError::IndexOverflow {
+                what: "L entries",
+                count: 1 << 32
+            })
+        );
+        assert_eq!(index(7, "L entries"), Ok(7));
         let lu = SparseLu::factor(&sq, None).unwrap();
         assert!(lu.solve(&[1.0]).is_err());
         let mut scratch = SolveScratch::new();

@@ -8,8 +8,13 @@
 //! pivot sequence, the L and U fill patterns, and the pivot-tolerance
 //! metadata), so a later [`crate::SparseLu::refactor`] can re-run only the
 //! numeric sweep. [`SolveScratch`] carries the triangular-solve
-//! workspaces so repeated solves allocate nothing after warm-up.
+//! workspace so repeated solves allocate nothing after warm-up.
+//!
+//! Both fill patterns hold `u32` *pivot positions* (an L entry names the
+//! step at which its row becomes pivotal), so every kernel indexes its
+//! accumulator directly, without a detour through the row permutation.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::NumericError;
@@ -22,9 +27,9 @@ use crate::sparse::SparseMatrix;
 /// the same sparsity pattern. Holds:
 ///
 /// * the column elimination order `Q` and pivot-row sequence `P`,
-/// * the structural fill patterns of `L` and `U` (the U pattern doubles
-///   as the elimination reach of each column, stored in ascending pivot
-///   order so the numeric sweep needs no topological sort), and
+/// * the structural fill patterns of `L` and `U` in pivot positions (the
+///   U pattern doubles as the elimination reach of each column, stored in
+///   ascending order so the numeric sweep needs no topological sort), and
 /// * the pivot threshold used at analysis time.
 ///
 /// The fingerprint of the analysed matrix guards against accidental reuse
@@ -36,14 +41,17 @@ pub struct LuSymbolic {
     pub(crate) q: Vec<usize>,
     /// `prow[k]` = original row chosen as pivot at step `k`.
     pub(crate) prow: Vec<usize>,
-    /// L fill pattern (unit diagonal implicit): original row indices.
-    pub(crate) l_ptr: Vec<usize>,
-    pub(crate) l_rows: Vec<usize>,
+    /// `pinv[i]` = pivot position of original row `i` (inverse of `prow`).
+    pub(crate) pinv: Vec<u32>,
+    /// L fill pattern (unit diagonal implicit): pivot positions `> k` per
+    /// column, in the order the factorization discovered their rows.
+    pub(crate) l_ptr: Vec<u32>,
+    pub(crate) l_pos: Vec<u32>,
     /// U fill pattern: pivot positions `< k` per column, ascending. This
     /// is exactly the elimination reach of each column, so the numeric
     /// sweep replays updates straight off it.
-    pub(crate) u_ptr: Vec<usize>,
-    pub(crate) u_pos: Vec<usize>,
+    pub(crate) u_ptr: Vec<u32>,
+    pub(crate) u_pos: Vec<u32>,
     /// Stored entries of the analysed matrix.
     pub(crate) a_nnz: usize,
     /// [`SparseMatrix::pattern_fingerprint`] of the analysed matrix.
@@ -69,7 +77,28 @@ impl LuSymbolic {
     /// Structural entries in `L` plus `U` including the unit/pivot
     /// diagonals — the fill this pattern commits any refactorization to.
     pub fn pattern_nnz(&self) -> usize {
-        self.l_rows.len() + self.u_pos.len() + self.n
+        self.l_pos.len() + self.u_pos.len() + self.n
+    }
+
+    /// Multiply-adds one numeric (re)factorization under this pattern
+    /// performs: every U entry `(m, k)` applies L column `m` to column `k`.
+    pub fn update_count(&self) -> usize {
+        self.u_pos
+            .iter()
+            .map(|&m| self.l_col(m as usize).len())
+            .sum()
+    }
+
+    /// Index range of L column `k` in `l_pos` and its value arrays.
+    #[inline]
+    pub(crate) fn l_col(&self, k: usize) -> Range<usize> {
+        self.l_ptr[k] as usize..self.l_ptr[k + 1] as usize
+    }
+
+    /// Index range of U column `k` in `u_pos` and its value arrays.
+    #[inline]
+    pub(crate) fn u_col(&self, k: usize) -> Range<usize> {
+        self.u_ptr[k] as usize..self.u_ptr[k + 1] as usize
     }
 
     /// Fill ratio `pattern_nnz / nnz(A)` of the analysed matrix `A`: how
@@ -133,22 +162,21 @@ impl LuSymbolic {
 /// (the batch engine hands one pattern to many worker threads).
 pub type SharedSymbolic = Arc<LuSymbolic>;
 
-/// Caller-owned workspaces for triangular solves.
+/// Caller-owned workspace for triangular solves.
 ///
 /// Threading one of these through repeated [`crate::SparseLu::solve_into`]
-/// calls makes the steady-state solve path allocation-free: the buffers
-/// are cleared and resized in place, and once warm their capacity is
-/// never exceeded for a fixed problem size.
+/// calls makes the steady-state solve path allocation-free: the buffer is
+/// cleared and resized in place, and once warm its capacity is never
+/// exceeded for a fixed problem size.
 #[derive(Debug, Default)]
 pub struct SolveScratch {
-    /// Permuted right-hand side, mutated by forward substitution.
+    /// The right-hand side permuted into pivot positions, overwritten by
+    /// forward and then back substitution.
     pub(crate) w: Vec<f64>,
-    /// Intermediate `y = L⁻¹·P·b`, then the back-substitution result.
-    pub(crate) y: Vec<f64>,
 }
 
 impl SolveScratch {
-    /// An empty scratch; buffers grow on first use and are reused after.
+    /// An empty scratch; the buffer grows on first use and is reused after.
     pub fn new() -> Self {
         Self::default()
     }
@@ -158,7 +186,6 @@ impl SolveScratch {
     pub fn with_dim(n: usize) -> Self {
         SolveScratch {
             w: Vec::with_capacity(n),
-            y: Vec::with_capacity(n),
         }
     }
 }
@@ -190,6 +217,9 @@ mod tests {
         assert_eq!(sym.fingerprint(), a.pattern_fingerprint());
         assert_eq!(sym.pattern_nnz(), lu.factor_nnz());
         assert_eq!(sym.fill_ratio(), 7.0 / 6.0);
+        // Column 2 reaches pivot 0 (via A(0,2)) and pivot 1 (via the
+        // fill it leaves in L(:,0)): |L(:,0)| + |L(:,1)| = 1 + 1.
+        assert_eq!(sym.update_count(), 2);
         assert!(sym.pivot_threshold() > 0.0);
         assert!(sym.check_matches(&a).is_ok());
     }
@@ -219,6 +249,5 @@ mod tests {
     fn scratch_presizing_is_capacity_only() {
         let s = SolveScratch::with_dim(16);
         assert!(s.w.capacity() >= 16 && s.w.is_empty());
-        assert!(s.y.capacity() >= 16 && s.y.is_empty());
     }
 }
