@@ -57,9 +57,9 @@ use std::time::{Duration, Instant};
 
 use awe::{reduce_decomposition, AweError, SharedSymbolic, StageTimings};
 use awe_mna::{
-    Decomposition, MnaSystem, MomentEngine, MomentWorkspace, StampProgram, SPARSE_THRESHOLD,
+    sparse_factor, Decomposition, MnaSystem, MomentEngine, MomentWorkspace, StampProgram,
 };
-use awe_numeric::{LaneLu, Matrix, SparseLu, SparseMatrix, LANE_WIDTH};
+use awe_numeric::{LaneLu, Matrix, SparseMatrix, LANE_WIDTH};
 
 use crate::engine::{
     blank_result, fill_result, outcome, share, solve_net, BatchOptions, NetResult, Observer,
@@ -169,16 +169,13 @@ pub(crate) fn solve_donor(
             program.apply_values(base, values, &mut sys, &mut g_img, &mut c_img)
         }
     };
-    let n = sys.num_unknowns();
-    let density = g_img.nnz() as f64 / (n as f64 * n as f64);
-    if !stamped || n < SPARSE_THRESHOLD || density >= 0.05 {
+    if !stamped {
         return None;
     }
     let idxs = observer_unknowns(job, &sys)?;
     let mna = t0.elapsed();
     let t1 = Instant::now();
-    let order = g_img.amd_column_order().ok();
-    let lu = SparseLu::factor(&g_img, order.as_deref()).ok()?;
+    let lu = sparse_factor(&g_img)?;
     let factor = t1.elapsed();
     let symbolic = lu.symbolic().clone();
     let t2 = Instant::now();

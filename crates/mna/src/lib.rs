@@ -47,8 +47,8 @@ mod system;
 
 pub use error::MnaError;
 pub use moments::{
-    decompose_lanes_with, Decomposition, InitialState, MomentEngine, MomentWorkspace, Piece,
-    PieceKind, SPARSE_THRESHOLD,
+    decompose_lanes_with, sparse_factor, Decomposition, InitialState, MomentEngine,
+    MomentWorkspace, Piece, PieceKind, SPARSE_THRESHOLD,
 };
 pub use stamp::StampProgram;
 pub use system::{CapEntry, IndEntry, MnaSystem, SourceEntry};

@@ -166,6 +166,22 @@ impl Factorization {
 /// which factorization an unseeded engine would choose.
 pub const SPARSE_THRESHOLD: usize = 192;
 
+/// The sparse factor of `G̃` that [`MomentEngine::with_pattern`] takes
+/// when it has no pattern: AMD-ordered Gilbert–Peierls, for a system of
+/// at least [`SPARSE_THRESHOLD`] unknowns whose `G̃` is under 5 % dense.
+/// `None` where the engine factors densely instead, a failed sparse
+/// factor included. Callers that hold `G̃` as CSC (a stamped system)
+/// factor it here to get the engine's bits.
+pub fn sparse_factor(g_tilde: &SparseMatrix) -> Option<SparseLu> {
+    let n = g_tilde.rows();
+    let density = g_tilde.nnz() as f64 / (n as f64 * n as f64);
+    if n < SPARSE_THRESHOLD || density >= 0.05 {
+        return None;
+    }
+    let order = g_tilde.amd_column_order().ok();
+    SparseLu::factor(g_tilde, order.as_deref()).ok()
+}
+
 /// Caller-owned scratch space for the moment recursion.
 ///
 /// Threading one workspace through repeated
@@ -299,19 +315,15 @@ impl<'a> MomentEngine<'a> {
                 }
             }
         }
+        // The threshold test first spares a small system the conversion.
         if n >= SPARSE_THRESHOLD {
-            let sg = SparseMatrix::from_dense(&system.g_tilde);
-            let density = sg.nnz() as f64 / (n as f64 * n as f64);
-            if density < 0.05 {
-                let order = sg.amd_column_order().ok();
-                if let Ok(lu) = SparseLu::factor(&sg, order.as_deref()) {
-                    return Ok(MomentEngine {
-                        system,
-                        lu: Factorization::Sparse(lu),
-                        c_tilde_sparse: Some(SparseMatrix::from_dense(&system.c_tilde)),
-                        refactored: false,
-                    });
-                }
+            if let Some(lu) = sparse_factor(&SparseMatrix::from_dense(&system.g_tilde)) {
+                return Ok(MomentEngine {
+                    system,
+                    lu: Factorization::Sparse(lu),
+                    c_tilde_sparse: Some(SparseMatrix::from_dense(&system.c_tilde)),
+                    refactored: false,
+                });
             }
         }
         let mut sp = awe_obs::span("lu.dense_factor");
@@ -577,7 +589,43 @@ impl<'a> MomentEngine<'a> {
     /// [`MnaError::NoDcSolution`] if the constrained system is singular
     /// even after regularization.
     pub fn instantaneous(&self, state: &InitialState, u: &[f64]) -> Result<Vec<f64>, MnaError> {
-        match self.instantaneous_inner(state, u, 0.0) {
+        // Indexed over the unknowns, so a stamped system's empty `g`
+        // panics here instead of reading as zero.
+        let g = &self.system.g;
+        let n = self.system.num_unknowns();
+        let entries = (0..n).flat_map(|i| (0..n).map(move |j| (i, j, g[(i, j)])));
+        self.instantaneous_from(entries, state, u)
+    }
+
+    /// [`MomentEngine::instantaneous`] with `G` read from its CSC image
+    /// `g` instead of the system's dense `g`, which a stamped system
+    /// ([`crate::StampProgram`]) leaves empty. Same bits for the same `G`.
+    ///
+    /// # Errors
+    ///
+    /// As [`MomentEngine::instantaneous`].
+    pub fn instantaneous_with(
+        &self,
+        g: &SparseMatrix,
+        state: &InitialState,
+        u: &[f64],
+    ) -> Result<Vec<f64>, MnaError> {
+        let entries = (0..g.cols()).flat_map(|j| {
+            let (rows, vals) = g.col(j);
+            rows.iter().zip(vals).map(move |(&i, &v)| (i, j, v))
+        });
+        self.instantaneous_from(entries, state, u)
+    }
+
+    /// The instantaneous solve over `G`'s entries `(row, col, value)`,
+    /// each at most once, in any order.
+    fn instantaneous_from(
+        &self,
+        g: impl Iterator<Item = (usize, usize, f64)> + Clone,
+        state: &InitialState,
+        u: &[f64],
+    ) -> Result<Vec<f64>, MnaError> {
+        match self.instantaneous_inner(g.clone(), state, u, 0.0) {
             Ok(x) => Ok(x),
             Err(MnaError::NoDcSolution) => {
                 // Series-resistance regularization. The resistances must
@@ -586,8 +634,11 @@ impl<'a> MomentEngine<'a> {
                 // physical charge-sharing ratio (a uniform ε would divide
                 // resistively and give the wrong instantaneous voltages
                 // on capacitor dividers).
-                let g_max = self.system.g.max_abs().max(1.0);
-                let pass1 = self.instantaneous_inner(state, u, 1e-9 / g_max)?;
+                let g_max = g
+                    .clone()
+                    .fold(0.0f64, |m, (_, _, v)| m.max(v.abs()))
+                    .max(1.0);
+                let pass1 = self.instantaneous_inner(g.clone(), state, u, 1e-9 / g_max)?;
                 // The first pass resolves inconsistent capacitor voltages
                 // through the ε resistances, which leaves impulse-scale
                 // remnants (~V/ε) in the branch-current unknowns. Re-solve
@@ -604,7 +655,7 @@ impl<'a> MomentEngine<'a> {
                     inductor_currents: state.inductor_currents.clone(),
                     dc_solution: state.dc_solution.clone(),
                 };
-                self.instantaneous_inner(&state2, u, 1e-9 / g_max)
+                self.instantaneous_inner(g, &state2, u, 1e-9 / g_max)
             }
             Err(e) => Err(e),
         }
@@ -612,6 +663,7 @@ impl<'a> MomentEngine<'a> {
 
     fn instantaneous_inner(
         &self,
+        g: impl Iterator<Item = (usize, usize, f64)>,
         state: &InitialState,
         u: &[f64],
         eps: f64,
@@ -631,14 +683,9 @@ impl<'a> MomentEngine<'a> {
             triplets.push((ind.branch, ind.branch, 1.0));
             rhs[ind.branch] = i0;
         }
-        for i in (0..n).filter(|&i| !pinned[i]) {
-            for j in 0..n {
-                let v = sys.g[(i, j)];
-                if v != 0.0 {
-                    triplets.push((i, j, v));
-                }
-            }
-        }
+        // No other triplet shares a `G` entry's row and column, so the
+        // order `g` yields them in leaves every sum alone.
+        triplets.extend(g.filter(|&(i, _, v)| !pinned[i] && v != 0.0));
         // Capacitors: add a branch current unknown and pin the voltage
         // (minus an optional ε/C·i series term for loop/floating-node
         // regularization — inverse-capacitance weighting makes the

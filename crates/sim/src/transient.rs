@@ -7,11 +7,13 @@
 //! doubling controls the local truncation error.
 //!
 //! The linear algebra runs on the CSC / sparse-LU substrate the moment
-//! engine uses. `G` and `C` are read as CSC once per run, and the pattern
-//! of the implicit matrix `A = G + k·C` (`k = 2/h`, or `1/h` for backward
-//! Euler) is built once as the union of the two. The first `A` pays the
-//! only symbolic analysis, under an AMD column order; every later step
-//! size refills the values and replays that analysis through
+//! engine uses. `G` and `C` are read as CSC once per run. A circuit that
+//! its [`StampProgram`] admits, where the moment engine would factor `G`
+//! sparsely, is stamped straight into CSC with no dense `n×n` matrix.
+//! The pattern of the implicit matrix `A = G + k·C` (`k = 2/h`, or `1/h`
+//! for backward Euler) is built once as the union of the two. The first
+//! `A` pays the only symbolic analysis, under an AMD column order; every
+//! later step size refills the values and replays that analysis through
 //! [`SparseLu::refactor`], falling back to a fresh factor only when the
 //! pivot guard rejects the stored pivot order. Each step is then two
 //! sparse products and one sparse solve.
@@ -26,7 +28,7 @@
 use std::sync::Arc;
 
 use awe_circuit::{Circuit, NodeId};
-use awe_mna::{MnaSystem, MomentEngine};
+use awe_mna::{sparse_factor, MnaSystem, MomentEngine, StampProgram};
 use awe_numeric::{LuSymbolic, NumericError, SolveScratch, SparseLu, SparseMatrix};
 
 use crate::error::SimError;
@@ -209,11 +211,27 @@ impl TransientResult {
 ///   `~1e-18·t_stop` (a pathological circuit).
 pub fn simulate(circuit: &Circuit, options: TransientOptions) -> Result<TransientResult, SimError> {
     let mut span = awe_obs::span("sim.simulate");
-    let sys = MnaSystem::build(circuit)?;
-    let engine = MomentEngine::new(&sys)?;
+    let assembly = Assembly::new(circuit)?;
+    let n = assembly.sys.num_unknowns();
+    let result = integrate(circuit, assembly, options)?;
+    span.note(n as f64, result.stats.accepted_steps as f64);
+    Ok(result)
+}
+
+/// The transient run of [`simulate`] on `circuit`'s assembled system.
+fn integrate(
+    circuit: &Circuit,
+    assembly: Assembly,
+    options: TransientOptions,
+) -> Result<TransientResult, SimError> {
+    let Assembly { sys, g, c, lu } = assembly;
+    let engine = match lu {
+        Some(lu) => MomentEngine::from_sparse(&sys, lu, c.clone()),
+        None => MomentEngine::new(&sys)?,
+    };
     let state = engine.initial_state()?;
     let u0 = sys.source_values_at(0.0);
-    let mut x = engine.instantaneous(&state, &u0)?;
+    let mut x = engine.instantaneous_with(&g, &state, &u0)?;
     let n = sys.num_unknowns();
 
     // Breakpoints of all source waveforms inside (0, t_stop): steps must
@@ -246,7 +264,7 @@ pub fn simulate(circuit: &Circuit, options: TransientOptions) -> Result<Transien
     let mut h = options.t_stop / 1e4;
     let h_min = options.t_stop * 1e-18;
     let mut steps = 0usize;
-    let mut stepper = Stepper::new(&sys, options.method);
+    let mut stepper = Stepper::new(&sys, g, c, options.method);
 
     let mut bp_iter = breakpoints.into_iter();
     let mut next_bp = bp_iter.next().unwrap_or(options.t_stop);
@@ -304,12 +322,57 @@ pub fn simulate(circuit: &Circuit, options: TransientOptions) -> Result<Transien
     }
 
     let stats = stepper.stats;
-    span.note(n as f64, stats.accepted_steps as f64);
     Ok(TransientResult {
         times,
         values,
         stats,
     })
+}
+
+/// A circuit's MNA system for a transient run: the CSC images of its
+/// `G` and `C`, and the sparse factor of `G` where [`MomentEngine::new`]
+/// would take one.
+struct Assembly {
+    sys: MnaSystem,
+    g: SparseMatrix,
+    c: SparseMatrix,
+    lu: Option<SparseLu>,
+}
+
+impl Assembly {
+    /// A circuit that its [`StampProgram`] admits, and that is large and
+    /// sparse enough for the moment engine's sparse kernel, is stamped
+    /// straight into the images and its `G` factored as the engine would
+    /// factor it: no dense `n×n` matrix is built. Any other circuit is
+    /// built densely and converted. The images and the factor carry the
+    /// same bits either way.
+    fn new(circuit: &Circuit) -> Result<Self, SimError> {
+        if let Some(program) = StampProgram::compile(circuit) {
+            let (mut sys, mut g, mut c) = program.instantiate();
+            if program.apply(circuit, &mut sys, &mut g, &mut c) {
+                if let Some(lu) = sparse_factor(&g) {
+                    return Ok(Assembly {
+                        sys,
+                        g,
+                        c,
+                        lu: Some(lu),
+                    });
+                }
+            }
+        }
+        Self::dense(circuit)
+    }
+
+    /// The dense build, converted.
+    fn dense(circuit: &Circuit) -> Result<Self, SimError> {
+        let sys = MnaSystem::build(circuit)?;
+        Ok(Assembly {
+            g: SparseMatrix::from_dense(&sys.g),
+            c: SparseMatrix::from_dense(&sys.c),
+            sys,
+            lu: None,
+        })
+    }
 }
 
 /// `A = G + k·C` on the union of the two CSC patterns. The pattern is
@@ -328,9 +391,7 @@ struct StepMatrix {
 }
 
 impl StepMatrix {
-    fn new(sys: &MnaSystem) -> Self {
-        let g = SparseMatrix::from_dense(&sys.g);
-        let c = SparseMatrix::from_dense(&sys.c);
+    fn new(g: SparseMatrix, c: SparseMatrix) -> Self {
         let n = g.cols();
         let coords = |m: &SparseMatrix| -> Vec<(usize, usize)> {
             (0..n)
@@ -408,8 +469,8 @@ struct Stepper<'a> {
 }
 
 impl<'a> Stepper<'a> {
-    fn new(sys: &'a MnaSystem, method: Method) -> Self {
-        let matrix = StepMatrix::new(sys);
+    fn new(sys: &'a MnaSystem, g: SparseMatrix, c: SparseMatrix, method: Method) -> Self {
+        let matrix = StepMatrix::new(g, c);
         let order = matrix.a.amd_column_order().ok();
         Stepper {
             sys,
@@ -535,6 +596,59 @@ mod tests {
         }
         let d = res.delay_50(n1).unwrap();
         assert!((d - tau * 2.0f64.ln()).abs() < 2e-9, "d = {d}");
+    }
+
+    /// An RC mesh of `side × side` nodes, driven by a step through a
+    /// resistor at one corner: large and sparse enough to be stamped.
+    fn rc_mesh(side: usize) -> (Circuit, NodeId) {
+        let mut ckt = Circuit::new();
+        let nodes: Vec<NodeId> = (0..side * side)
+            .map(|k| ckt.node(&format!("n{k}")))
+            .collect();
+        let n_in = ckt.node("in");
+        ckt.add_vsource("V1", n_in, GROUND, Waveform::step(0.0, 1.0))
+            .unwrap();
+        ckt.add_resistor("RIN", n_in, nodes[0], 10.0).unwrap();
+        for k in 0..side * side {
+            let r = 1.0 + (k % 7) as f64 * 0.25;
+            if k % side + 1 < side {
+                ckt.add_resistor(&format!("RH{k}"), nodes[k], nodes[k + 1], r)
+                    .unwrap();
+            }
+            if k + side < side * side {
+                ckt.add_resistor(&format!("RV{k}"), nodes[k], nodes[k + side], r)
+                    .unwrap();
+            }
+            let c = 1e-12 * (1.0 + (k % 5) as f64 * 0.1);
+            ckt.add_capacitor(&format!("C{k}"), nodes[k], GROUND, c)
+                .unwrap();
+        }
+        (ckt, nodes[side * side - 1])
+    }
+
+    #[test]
+    fn stamped_assembly_matches_the_dense_build_bit_for_bit() {
+        let (ckt, far) = rc_mesh(15);
+        let stamped = Assembly::new(&ckt).unwrap();
+        assert!(stamped.lu.is_some(), "the mesh takes the stamped path");
+        let dense = Assembly::dense(&ckt).unwrap();
+        assert!(dense.lu.is_none());
+        let bits =
+            |m: &SparseMatrix| -> Vec<u64> { m.values().iter().map(|v| v.to_bits()).collect() };
+        for (s, d) in [(&stamped.g, &dense.g), (&stamped.c, &dense.c)] {
+            assert_eq!(s.to_dense(), d.to_dense());
+            assert_eq!(bits(s), bits(d));
+        }
+
+        let opts = TransientOptions::new(2e-9);
+        let a = integrate(&ckt, stamped, opts).unwrap();
+        let b = integrate(&ckt, dense, opts).unwrap();
+        let bits = |r: &TransientResult| -> Vec<u64> {
+            let samples = r.values.iter().flatten();
+            r.times.iter().chain(samples).map(|v| v.to_bits()).collect()
+        };
+        assert!(a.len() > 10 && a.delay_50(far).is_some());
+        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]
