@@ -16,7 +16,7 @@ use awe::{
     StageTimings,
 };
 use awe_circuit::{Circuit, NodeId, ReduceOptions};
-use awe_mna::{StampProgram, SPARSE_THRESHOLD};
+use awe_mna::{MomentWorkspace, StampProgram, SPARSE_THRESHOLD};
 use awe_numeric::LANE_WIDTH;
 
 use crate::design::{prepare_net, same_solve_circuit, Design};
@@ -423,6 +423,8 @@ impl BatchEngine {
         let tape_on = tape::tape_applicable(opts);
         let mut executed = Executed::default();
         let mut presolved = vec![false; jobs.len()];
+        // One moment workspace serves every scalar donor in turn.
+        let mut donor_ws = MomentWorkspace::new();
         for (i, job) in jobs.iter().enumerate() {
             let key = job.pattern;
             if group_size.get(&key).is_none_or(|&c| c < 2) {
@@ -461,7 +463,7 @@ impl BatchEngine {
                 Some((solved, symbolic)) => (solved, Some(symbolic)),
                 None => {
                     let circuit = job.circuit(&mut executed.replay.materialized);
-                    let solved = solve_net(&circuit, &job.observers, opts, None);
+                    let solved = solve_net(&circuit, &job.observers, opts, None, &mut donor_ws);
                     let outcome = SolveOutcome {
                         nets: solved.nets,
                         latency: t0.elapsed(),
@@ -581,6 +583,7 @@ impl BatchEngine {
                 }
                 Unit::Scalar { nets } => {
                     let mut stats = ReplayStats::default();
+                    let mut arena = arena.lock().expect("arena lock");
                     let outcomes = nets
                         .iter()
                         .map(|&i| {
@@ -590,7 +593,8 @@ impl BatchEngine {
                             let t0 = Instant::now();
                             let seed = snapshot.get(&job.pattern);
                             let circuit = job.circuit(&mut stats.materialized);
-                            let solved = solve_net(&circuit, &job.observers, opts, seed);
+                            let solved =
+                                solve_net(&circuit, &job.observers, opts, seed, &mut arena.ws);
                             (
                                 job.pattern,
                                 w,
@@ -932,12 +936,14 @@ pub(crate) struct Solved {
 /// to the AWE engine so the factorization can skip its symbolic
 /// analysis; the pattern the engine ends up with (the seed if the
 /// refactorization succeeded, a freshly analysed one otherwise, `None` on
-/// the dense path) is returned for the caches.
+/// the dense path) is returned for the caches. The engine runs its
+/// moment recursions in `ws`, a worker's warm workspace.
 pub(crate) fn solve_net(
     circuit: &Circuit,
     observers: &[Observer<'_>],
     opts: &BatchOptions,
     seed: Option<&SharedSymbolic>,
+    ws: &mut MomentWorkspace,
 ) -> Solved {
     let requested = if opts.auto_target.is_some() {
         1
@@ -970,6 +976,7 @@ pub(crate) fn solve_net(
         }
     };
     engine.set_factor_pattern(seed.cloned());
+    engine.swap_workspace(ws);
     let mut solve_span = awe_obs::span("engine.solve");
     solve_span.note(requested as f64, engine.system().num_unknowns() as f64);
     let assembly = StageTimings {
@@ -1000,6 +1007,7 @@ pub(crate) fn solve_net(
             Some(target) => auto_solve(&engine, live, target, opts, &mut stages, &mut results),
         }
     }
+    engine.swap_workspace(ws);
     Solved {
         nets: collect(results, stages),
         pattern: engine.factor_pattern(),
@@ -1211,7 +1219,9 @@ pub(crate) fn fill_result(result: &mut NetResult, approx: &AweApproximation) {
     result.stable = approx.stable;
     result.rescued = approx.discarded > 0;
     result.error_estimate = approx.error_estimate;
+    let crossing = awe_obs::span("response.crossing");
     result.delay_50 = approx.delay_50();
+    drop(crossing);
     result.final_value = approx.final_value();
     result.poles = approx.poles().iter().map(|p| (p.re, p.im)).collect();
 }

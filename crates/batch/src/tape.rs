@@ -218,7 +218,7 @@ struct Slot {
 /// and, in steady state, no per-net allocation: a slot is copied from
 /// its group's template once, then restamped in place.
 pub struct WorkerArena {
-    ws: MomentWorkspace,
+    pub(crate) ws: MomentWorkspace,
     slots: Vec<Option<Slot>>,
 }
 
@@ -598,6 +598,7 @@ fn replay_lanes(
             symbolic,
             t_block,
             stats,
+            &mut arena.ws,
         ));
     }
     for (pos, slot) in done.into_iter().enumerate() {
@@ -616,10 +617,11 @@ fn scalar_fallback(
     seed: &SharedSymbolic,
     t0: Instant,
     stats: &mut ReplayStats,
+    ws: &mut MomentWorkspace,
 ) -> SolveOutcome {
     SCALAR_FALLBACKS.incr();
     let circuit = job.circuit(&mut stats.materialized);
-    let solved = solve_net(&circuit, &job.observers, opts, Some(seed));
+    let solved = solve_net(&circuit, &job.observers, opts, Some(seed), ws);
     outcome(solved.nets, t0, Some(seed), solved.pattern, true)
 }
 

@@ -365,6 +365,14 @@ impl AweEngine {
         Ok((dec?, clock))
     }
 
+    /// Swaps the engine's moment-recursion workspace with `ws`. A caller
+    /// that solves many circuits (a batch worker) hands its warm buffers
+    /// to each fresh engine and swaps them back after the last solve, so
+    /// only its first engine allocates moment vectors.
+    pub fn swap_workspace(&self, ws: &mut MomentWorkspace) {
+        std::mem::swap(&mut *self.workspace.lock().expect("workspace lock"), ws);
+    }
+
     /// Returns a decomposition's vectors to the engine's workspace so the
     /// next solve's recursion starts warm.
     pub fn recycle(&self, dec: Decomposition) {

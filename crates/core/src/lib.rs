@@ -52,6 +52,7 @@
 
 pub mod accuracy;
 pub mod bounds;
+mod crossing;
 pub mod elmore;
 mod engine;
 mod error;

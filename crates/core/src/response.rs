@@ -189,40 +189,15 @@ impl AweApproximation {
     }
 
     /// First time the response crosses `level`, searched over
-    /// `[0, horizon]` with dense scanning plus bisection. Handles
-    /// nonmonotone responses by reporting the *first* crossing.
+    /// `[0, horizon]` by a 4,096-point scan plus 80 bisection steps in the
+    /// first cell that changes side. Handles nonmonotone responses by
+    /// reporting the *first* crossing. Grid points and midpoints whose
+    /// side a rigorous error-and-slope bound already fixes are not
+    /// evaluated; the result is the full scan's, bit for bit.
     ///
     /// Returns `None` if the level is never crossed.
     pub fn threshold_crossing(&self, level: f64) -> Option<f64> {
-        let t_end = self.horizon();
-        let n = 4096;
-        let mut prev_t = 0.0f64;
-        let mut prev_v = self.eval(0.0);
-        if prev_v == level {
-            return Some(0.0);
-        }
-        let start_sign = (prev_v - level).signum();
-        for i in 1..=n {
-            let t = t_end * i as f64 / n as f64;
-            let v = self.eval(t);
-            if (v - level).signum() != start_sign {
-                // Bisect within [prev_t, t].
-                let (mut lo, mut hi) = (prev_t, t);
-                for _ in 0..80 {
-                    let mid = 0.5 * (lo + hi);
-                    if (self.eval(mid) - level).signum() == start_sign {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                return Some(0.5 * (lo + hi));
-            }
-            prev_t = t;
-            prev_v = v;
-        }
-        let _ = prev_v;
-        None
+        crate::crossing::search(self, level)
     }
 
     /// The 50 % delay: the first time the response reaches the midpoint

@@ -262,9 +262,9 @@ impl MomentWorkspace {
 pub struct MomentEngine<'a> {
     system: &'a MnaSystem,
     lu: Factorization,
-    /// Sparse image of `C̃` kept alongside the sparse factorization so the
-    /// per-moment `C̃·x` products cost `O(nnz)` instead of `O(n²)`.
-    c_tilde_sparse: Option<SparseMatrix>,
+    /// Sparse image of `C̃`, on the dense path as on the sparse one, so
+    /// the per-moment `C̃·x` products cost `O(nnz)` instead of `O(n²)`.
+    c_tilde_sparse: SparseMatrix,
     /// Whether the factorization reused a stored symbolic pattern
     /// (numeric refactorization) instead of a full analysis.
     refactored: bool,
@@ -309,7 +309,7 @@ impl<'a> MomentEngine<'a> {
                     return Ok(MomentEngine {
                         system,
                         lu: Factorization::Sparse(lu),
-                        c_tilde_sparse: Some(SparseMatrix::from_dense(&system.c_tilde)),
+                        c_tilde_sparse: SparseMatrix::from_dense(&system.c_tilde),
                         refactored: true,
                     });
                 }
@@ -321,18 +321,19 @@ impl<'a> MomentEngine<'a> {
                 return Ok(MomentEngine {
                     system,
                     lu: Factorization::Sparse(lu),
-                    c_tilde_sparse: Some(SparseMatrix::from_dense(&system.c_tilde)),
+                    c_tilde_sparse: SparseMatrix::from_dense(&system.c_tilde),
                     refactored: false,
                 });
             }
         }
         let mut sp = awe_obs::span("lu.dense_factor");
         sp.note(n as f64, 0.0);
-        let lu = Lu::factor(&system.g_tilde)?;
+        let lu = Lu::factor_indexed(&system.g_tilde)?;
+        drop(sp);
         Ok(MomentEngine {
             system,
             lu: Factorization::Dense(lu),
-            c_tilde_sparse: None,
+            c_tilde_sparse: SparseMatrix::from_dense(&system.c_tilde),
             refactored: false,
         })
     }
@@ -351,18 +352,17 @@ impl<'a> MomentEngine<'a> {
         MomentEngine {
             system,
             lu: Factorization::Sparse(lu),
-            c_tilde_sparse: Some(c_tilde_sparse),
+            c_tilde_sparse,
             refactored: true,
         }
     }
 
     /// Consumes the engine, returning the sparse factorization and `C̃`
-    /// image for buffer recycling (`None` on the dense path or when no
-    /// sparse image was kept).
+    /// image for buffer recycling (`None` on the dense path).
     pub fn into_sparse(self) -> Option<(SparseLu, SparseMatrix)> {
-        match (self.lu, self.c_tilde_sparse) {
-            (Factorization::Sparse(lu), Some(c)) => Some((lu, c)),
-            _ => None,
+        match self.lu {
+            Factorization::Sparse(lu) => Some((lu, self.c_tilde_sparse)),
+            Factorization::Dense(_) => None,
         }
     }
 
@@ -384,18 +384,14 @@ impl<'a> MomentEngine<'a> {
         }
     }
 
-    /// `C̃·x` through the sparse image when available (every sparse
-    /// engine, and the only `C̃` a stamped system carries), else through
-    /// the dense-LU engine's dense `C̃`; into a caller-owned buffer (no
+    /// `C̃·x` through the sparse image, into a caller-owned buffer (no
     /// allocation at capacity). Every moment step, the seed's charge
     /// image included, goes through here. For finite vectors the CSC
     /// product equals the dense one bit for bit: it adds each row's terms
-    /// in the same column order and skips only exact-zero products.
+    /// in the same column order, from `+0.0`, and skips only exact-zero
+    /// products, which cannot change a sum that never holds `-0.0`.
     fn c_tilde_apply_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        match &self.c_tilde_sparse {
-            Some(sc) => sc.mul_vec_into(x, out),
-            None => self.system.c_tilde.mul_vec_into(x, out),
-        }
+        self.c_tilde_sparse.mul_vec_into(x, out);
     }
 
     /// Solves the charge-aware system: conductive rows take `rhs`, each

@@ -34,6 +34,85 @@ pub struct Lu {
     perm: Vec<usize>,
     /// Sign of the permutation, for determinants.
     perm_sign: f64,
+    /// The factors' nonzeros, recorded by [`Lu::factor_indexed`]; solves
+    /// then walk these instead of `lu`.
+    nonzeros: Option<Nonzeros>,
+}
+
+/// The nonzero entries of the factors, row by row: the strictly lower
+/// part (`L`'s multipliers) and the strictly upper part of `U` as
+/// `(column, value)` lists, columns ascending, and `U`'s diagonal.
+///
+/// A solve over these lists performs the dense loops' operations in the
+/// dense loops' order and skips only the products with an exact-zero
+/// factor entry.
+#[derive(Clone, Debug)]
+struct Nonzeros {
+    /// Row `i` of `L` is `l[l_ptr[i]..l_ptr[i + 1]]`.
+    l_ptr: Vec<usize>,
+    l: Vec<(usize, f64)>,
+    /// Row `i` of `U`, diagonal excluded, is `u[u_ptr[i]..u_ptr[i + 1]]`.
+    u_ptr: Vec<usize>,
+    u: Vec<(usize, f64)>,
+    diag: Vec<f64>,
+}
+
+impl Nonzeros {
+    /// The nonzeros of the packed factors `lu`, in one row-major pass.
+    fn of(lu: &Matrix) -> Nonzeros {
+        let n = lu.rows();
+        let mut nz = Nonzeros {
+            l_ptr: Vec::with_capacity(n + 1),
+            l: Vec::with_capacity(n * n / 4),
+            u_ptr: Vec::with_capacity(n + 1),
+            u: Vec::with_capacity(n * n / 4),
+            diag: Vec::with_capacity(n),
+        };
+        nz.l_ptr.push(0);
+        nz.u_ptr.push(0);
+        let mut nonzero = vec![(0usize, 0.0f64); n];
+        for (i, row) in lu.as_slice().chunks_exact(n.max(1)).enumerate() {
+            nz.l.extend_from_slice(compact(&row[..i], 0, &mut nonzero));
+            nz.l_ptr.push(nz.l.len());
+            nz.diag.push(row[i]);
+            nz.u.extend_from_slice(compact(&row[i + 1..], i + 1, &mut nonzero));
+            nz.u_ptr.push(nz.u.len());
+        }
+        nz
+    }
+
+    /// Forward then back substitution in place on the permuted `x`.
+    fn solve_in_place(&self, x: &mut [f64]) {
+        let n = self.diag.len();
+        for i in 0..n {
+            let mut acc = x[i];
+            for &(j, m) in &self.l[self.l_ptr[i]..self.l_ptr[i + 1]] {
+                acc -= m * x[j];
+            }
+            x[i] = acc;
+        }
+        for i in (0..n).rev() {
+            let mut acc = x[i];
+            for &(j, v) in &self.u[self.u_ptr[i]..self.u_ptr[i + 1]] {
+                acc -= v * x[j];
+            }
+            x[i] = acc / self.diag[i];
+        }
+    }
+}
+
+/// The nonzero entries of `values` as `(first + index, value)`, packed
+/// into the front of `out`. Every entry is written and the cursor
+/// advances only past a nonzero, so no branch depends on the data: on
+/// sparse factors a branch per entry mispredicts often enough to double
+/// the cost of the pass.
+fn compact<'a>(values: &[f64], first: usize, out: &'a mut [(usize, f64)]) -> &'a [(usize, f64)] {
+    let mut len = 0;
+    for (j, &v) in values.iter().enumerate() {
+        out[len] = (first + j, v);
+        len += usize::from(v != 0.0);
+    }
+    &out[..len]
 }
 
 impl Lu {
@@ -77,14 +156,18 @@ impl Lu {
                 perm.swap(p, k);
                 sign = -sign;
             }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let m = lu[(i, k)] / pivot;
-                lu[(i, k)] = m;
+            // The whole row right of the pivot is updated: the contiguous
+            // loop vectorizes, and on the small matrices dense factors
+            // serve it runs faster than a walk of the pivot row's nonzeros.
+            let (head, tail) = lu.as_mut_slice().split_at_mut((k + 1) * n);
+            let urow = &head[k * n + k..(k + 1) * n];
+            let pivot = urow[0];
+            for row in tail.chunks_exact_mut(n) {
+                let m = row[k] / pivot;
+                row[k] = m;
                 if m != 0.0 {
-                    for j in (k + 1)..n {
-                        let u = lu[(k, j)];
-                        lu[(i, j)] -= m * u;
+                    for (x, &u) in row[k + 1..].iter_mut().zip(&urow[1..]) {
+                        *x -= m * u;
                     }
                 }
             }
@@ -93,7 +176,24 @@ impl Lu {
             lu,
             perm,
             perm_sign: sign,
+            nonzeros: None,
         })
+    }
+
+    /// [`Lu::factor`], then records the factors' nonzeros row by row, so
+    /// every later [`Lu::solve_into`] touches only nonzero entries. Meant
+    /// for sparse systems solved many times (the moment recursion on an
+    /// MNA conductance matrix); the solutions equal the dense loops' bit
+    /// for bit up to the sign of an exact zero (see `DESIGN.md`, "Small
+    /// nets: dense LU over nonzeros").
+    ///
+    /// # Errors
+    ///
+    /// As [`Lu::factor`].
+    pub fn factor_indexed(a: &Matrix) -> Result<Lu, NumericError> {
+        let mut lu = Lu::factor(a)?;
+        lu.nonzeros = Some(Nonzeros::of(&lu.lu));
+        Ok(lu)
     }
 
     /// Dimension of the factored matrix.
@@ -134,6 +234,10 @@ impl Lu {
         out.clear();
         out.extend(self.perm.iter().map(|&pi| b[pi]));
         let x = out;
+        if let Some(nonzeros) = &self.nonzeros {
+            nonzeros.solve_in_place(x);
+            return Ok(());
+        }
         // Forward substitution with unit-diagonal L.
         for i in 1..n {
             let mut acc = x[i];
@@ -310,6 +414,149 @@ pub fn lu_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, NumericError> {
 mod tests {
     use super::*;
     use crate::matrix::vecops::norm_inf;
+    use proptest::prelude::*;
+
+    /// The factor loop as first written, entry by entry through the
+    /// matrix index.
+    fn factor_reference(a: &Matrix) -> Lu {
+        let n = a.rows();
+        let mut lu = a.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut sign = 1.0;
+        for k in 0..n {
+            let mut p = k;
+            let mut pmax = lu[(k, k)].abs();
+            for i in (k + 1)..n {
+                let v = lu[(i, k)].abs();
+                if v > pmax {
+                    pmax = v;
+                    p = i;
+                }
+            }
+            assert!(pmax != 0.0, "reference factor hit a zero pivot");
+            if p != k {
+                lu.swap_rows(p, k);
+                perm.swap(p, k);
+                sign = -sign;
+            }
+            let pivot = lu[(k, k)];
+            for i in (k + 1)..n {
+                let m = lu[(i, k)] / pivot;
+                lu[(i, k)] = m;
+                if m != 0.0 {
+                    for j in (k + 1)..n {
+                        let u = lu[(k, j)];
+                        lu[(i, j)] -= m * u;
+                    }
+                }
+            }
+        }
+        Lu {
+            lu,
+            perm,
+            perm_sign: sign,
+            nonzeros: None,
+        }
+    }
+
+    /// The dense substitution loops over all `n²` factor entries.
+    fn solve_reference(lu: &Lu, b: &[f64]) -> Vec<f64> {
+        let n = lu.dim();
+        let mut x: Vec<f64> = lu.perm.iter().map(|&pi| b[pi]).collect();
+        for i in 1..n {
+            let mut acc = x[i];
+            for j in 0..i {
+                acc -= lu.lu[(i, j)] * x[j];
+            }
+            x[i] = acc;
+        }
+        for i in (0..n).rev() {
+            let mut acc = x[i];
+            for j in (i + 1)..n {
+                acc -= lu.lu[(i, j)] * x[j];
+            }
+            x[i] = acc / lu.lu[(i, i)];
+        }
+        x
+    }
+
+    /// Equal bits, except that an exact zero may differ in sign: skipping
+    /// a `±0` product can change the sign of a zero accumulator, never a
+    /// nonzero value.
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0)
+    }
+
+    /// A random sparse-ish matrix: each entry is an exact `+0.0`, an
+    /// exact `-0.0` or a value in `[-1, 1)`, chosen by `kind`, with a
+    /// diagonal boost so most draws factor.
+    fn sparse_case(n: usize, kind: &[u8], vals: &[f64], boost: f64) -> Matrix {
+        Matrix::from_fn(n, n, |i, j| {
+            let k = i * n + j;
+            let v = match kind[k % kind.len()] % 4 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => vals[k % vals.len()],
+            };
+            if i == j {
+                v + boost
+            } else {
+                v
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn nonzero_factor_and_solve_match_the_dense_loops(
+            n in 1usize..24,
+            kind in proptest::collection::vec(0u8..8, 61),
+            vals in proptest::collection::vec(-1.0f64..1.0, 53),
+            boost in prop_oneof![Just(0.0), Just(0.5), 0.0f64..4.0],
+            b in proptest::collection::vec(
+                prop_oneof![Just(0.0), Just(-0.0), -2.0f64..2.0],
+                24,
+            ),
+        ) {
+            let a = sparse_case(n, &kind, &vals, boost);
+            let Ok(fast) = Lu::factor_indexed(&a) else {
+                prop_assert!(Lu::factor(&a).is_err());
+                return Ok(());
+            };
+            let slow = factor_reference(&a);
+            prop_assert_eq!(&fast.perm, &slow.perm);
+            prop_assert_eq!(fast.perm_sign, slow.perm_sign);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&fast.lu), bits(&slow.lu));
+            // The lists are exactly each row's nonzeros, columns ascending.
+            let nz = fast.nonzeros.as_ref().unwrap();
+            let listed = |l: &[(usize, f64)]| l.iter().map(|&(j, v)| (j, v.to_bits())).collect::<Vec<_>>();
+            for i in 0..n {
+                let scan = |span: std::ops::Range<usize>| {
+                    span.filter(|&j| fast.lu[(i, j)] != 0.0)
+                        .map(|j| (j, fast.lu[(i, j)].to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                prop_assert_eq!(listed(&nz.l[nz.l_ptr[i]..nz.l_ptr[i + 1]]), scan(0..i));
+                prop_assert_eq!(listed(&nz.u[nz.u_ptr[i]..nz.u_ptr[i + 1]]), scan(i + 1..n));
+                prop_assert_eq!(nz.diag[i].to_bits(), fast.lu[(i, i)].to_bits());
+            }
+            let b = &b[..n];
+            let want = solve_reference(&slow, b);
+            let mut got = Vec::new();
+            fast.solve_into(b, &mut got).unwrap();
+            for (x, y) in got.iter().zip(&want) {
+                prop_assert!(same_bits(*x, *y), "solution {x:e} vs {y:e}");
+            }
+            // Without the row lists the solve runs the dense loops.
+            let plain = Lu::factor(&a).unwrap().solve(b).unwrap();
+            for (x, y) in plain.iter().zip(&want) {
+                prop_assert!(same_bits(*x, *y), "plain solution {x:e} vs {y:e}");
+            }
+        }
+    }
 
     fn residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
         let ax = a.mul_vec(x);

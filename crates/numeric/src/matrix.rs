@@ -159,6 +159,12 @@ impl Matrix {
         &self.data
     }
 
+    /// Mutable view of the underlying row-major storage.
+    #[inline]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// A row as a slice.
     ///
     /// # Panics

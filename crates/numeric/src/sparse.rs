@@ -79,18 +79,51 @@ impl SparseMatrix {
         }
     }
 
-    /// Converts a dense matrix, dropping exact zeros.
+    /// Converts a dense matrix, dropping exact zeros (`±0.0`). Equal
+    /// field for field to [`SparseMatrix::from_triplets`] over the
+    /// nonzero entries: one pass counts each column's nonzeros, a second
+    /// scatters them in row order.
     pub fn from_dense(m: &Matrix) -> Self {
-        let mut triplets = Vec::new();
-        for i in 0..m.rows() {
-            for j in 0..m.cols() {
-                let v = m[(i, j)];
+        let (rows, cols) = (m.rows(), m.cols());
+        let mut col_ptr = vec![0usize; cols + 1];
+        if rows == 0 || cols == 0 {
+            return SparseMatrix {
+                rows,
+                cols,
+                col_ptr,
+                row_idx: Vec::new(),
+                values: Vec::new(),
+            };
+        }
+        for row in m.as_slice().chunks_exact(cols) {
+            for (count, &v) in col_ptr[1..].iter_mut().zip(row) {
+                *count += usize::from(v != 0.0);
+            }
+        }
+        for j in 0..cols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let nnz = col_ptr[cols];
+        let mut row_idx = vec![0usize; nnz];
+        let mut values = vec![0.0f64; nnz];
+        let mut next = col_ptr[..cols].to_vec();
+        for (i, row) in m.as_slice().chunks_exact(cols).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
                 if v != 0.0 {
-                    triplets.push((i, j, v));
+                    let k = next[j];
+                    row_idx[k] = i;
+                    values[k] = v;
+                    next[j] = k + 1;
                 }
             }
         }
-        SparseMatrix::from_triplets(m.rows(), m.cols(), &triplets)
+        SparseMatrix {
+            rows,
+            cols,
+            col_ptr,
+            row_idx,
+            values,
+        }
     }
 
     /// Refills this matrix's values from a dense matrix that must have
@@ -335,6 +368,43 @@ fn fnv1a(mut h: u64, v: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The conversion before the direct CSC build: every nonzero as a
+    /// triplet, then bucketed, sorted and summed.
+    fn from_dense_reference(m: &Matrix) -> SparseMatrix {
+        let mut triplets = Vec::new();
+        for i in 0..m.rows() {
+            for j in 0..m.cols() {
+                let v = m[(i, j)];
+                if v != 0.0 {
+                    triplets.push((i, j, v));
+                }
+            }
+        }
+        SparseMatrix::from_triplets(m.rows(), m.cols(), &triplets)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn from_dense_equals_the_triplet_build(
+            rows in 0usize..12,
+            cols in 0usize..12,
+            vals in proptest::collection::vec(
+                prop_oneof![Just(0.0), Just(-0.0), Just(5e-324), -3.0f64..3.0],
+                144,
+            ),
+        ) {
+            let m = Matrix::from_fn(rows, cols, |i, j| vals[i * 12 + j]);
+            let got = SparseMatrix::from_dense(&m);
+            let want = from_dense_reference(&m);
+            prop_assert_eq!(&got, &want);
+            let bits = |s: &SparseMatrix| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
 
     #[test]
     fn triplets_sum_and_drop_zeros() {

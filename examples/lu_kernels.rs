@@ -1,8 +1,12 @@
-//! Sparse LU kernel probe: times the factor, the numeric refactor at one
+//! LU kernel probe: times the factor, the numeric refactor at one
 //! and at four lanes, and the triangular solve on the matrices the
 //! engine factors — the `G̃` of 20×20, 40×40 and 100×100 power grids
 //! (strap pitch 5, AMD order) and of a 200-stage RC chain — and prints
-//! them as the kernel table of DESIGN.md §13.
+//! them as the kernel table of DESIGN.md §13. A second table times the
+//! dense path that every net under the sparse threshold takes: the
+//! dense factor with and without its nonzero lists, the solve over the
+//! dense loops and over the lists, and `C̃·x` dense and through CSC, on
+//! the random RC trees of `awesim batch --synthetic`, by size.
 //!
 //! Run with:
 //!
@@ -22,11 +26,12 @@
 
 use std::time::{Duration, Instant};
 
+use awesim::batch::Design;
 use awesim::circuit::generators::rc_line;
 use awesim::circuit::pdn::{pdn_grid, PdnSpec};
 use awesim::circuit::{Circuit, Waveform};
 use awesim::mna::MnaSystem;
-use awesim::numeric::{LaneLu, SolveScratch, SparseLu, SparseMatrix, LANE_WIDTH};
+use awesim::numeric::{LaneLu, Lu, SolveScratch, SparseLu, SparseMatrix, LANE_WIDTH};
 
 fn g_tilde(circuit: &Circuit) -> SparseMatrix {
     SparseMatrix::from_dense(&MnaSystem::build(circuit).expect("assembles").g_tilde)
@@ -129,6 +134,93 @@ fn main() {
             ms(lanes),
             solve.as_secs_f64() * 1e6,
             madds as f64 / scalar.as_secs_f64() / 1e9,
+        );
+    }
+    dense_table(budget);
+}
+
+/// The dense-path table: per size class of the synthetic trees, the
+/// mean time per net of each kernel.
+fn dense_table(budget: Duration) {
+    let systems: Vec<MnaSystem> = Design::synthetic(500, 9)
+        .nets()
+        .iter()
+        .map(|net| MnaSystem::build(&net.circuit).expect("assembles"))
+        .collect();
+    println!();
+    println!(
+        "| trees | n | nnz G̃ | nnz C̃ | factor µs | factor + lists µs | solve, dense loops ns | solve, lists ns | C̃·x dense ns | C̃·x CSC ns | C̃ to CSC ns |"
+    );
+    println!("|---|---|---|---|---|---|---|---|---|---|---|");
+    let mut sizes: Vec<usize> = systems.iter().map(MnaSystem::num_unknowns).collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    for n in sizes {
+        let class: Vec<&MnaSystem> = systems.iter().filter(|s| s.num_unknowns() == n).collect();
+        let per_net = |d: Duration| d.as_secs_f64() / class.len() as f64;
+        let mean_nnz = |f: &dyn Fn(&MnaSystem) -> usize| {
+            class.iter().map(|s| f(s)).sum::<usize>() as f64 / class.len() as f64
+        };
+        let plain: Vec<Lu> = class
+            .iter()
+            .map(|s| Lu::factor(&s.g_tilde).expect("factors"))
+            .collect();
+        let listed: Vec<Lu> = class
+            .iter()
+            .map(|s| Lu::factor_indexed(&s.g_tilde).expect("factors"))
+            .collect();
+        let c_csc: Vec<SparseMatrix> = class
+            .iter()
+            .map(|s| SparseMatrix::from_dense(&s.c_tilde))
+            .collect();
+        let factor = median(budget, || {
+            for s in &class {
+                std::hint::black_box(Lu::factor(&s.g_tilde).expect("factors"));
+            }
+        });
+        let factor_listed = median(budget, || {
+            for s in &class {
+                std::hint::black_box(Lu::factor_indexed(&s.g_tilde).expect("factors"));
+            }
+        });
+        let b: Vec<f64> = (0..n).map(|i| (i % 7) as f64 - 3.0).collect();
+        let mut out = Vec::with_capacity(n);
+        let mut solve = |lus: &[Lu]| {
+            median(budget, || {
+                for lu in lus {
+                    lu.solve_into(&b, &mut out).expect("solves");
+                }
+            })
+        };
+        let (solve_dense, solve_listed) = (solve(&plain), solve(&listed));
+        let mut y = Vec::with_capacity(n);
+        let c_dense = median(budget, || {
+            for s in &class {
+                s.c_tilde.mul_vec_into(&b, &mut y);
+            }
+        });
+        let c_sparse = median(budget, || {
+            for c in &c_csc {
+                c.mul_vec_into(&b, &mut y);
+            }
+        });
+        let to_csc = median(budget, || {
+            for s in &class {
+                std::hint::black_box(SparseMatrix::from_dense(&s.c_tilde));
+            }
+        });
+        println!(
+            "| {} | {n} | {:.0} | {:.0} | {:.2} | {:.2} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} |",
+            class.len(),
+            mean_nnz(&|s| SparseMatrix::from_dense(&s.g_tilde).nnz()),
+            mean_nnz(&|s| SparseMatrix::from_dense(&s.c_tilde).nnz()),
+            per_net(factor) * 1e6,
+            per_net(factor_listed) * 1e6,
+            per_net(solve_dense) * 1e9,
+            per_net(solve_listed) * 1e9,
+            per_net(c_dense) * 1e9,
+            per_net(c_sparse) * 1e9,
+            per_net(to_csc) * 1e9,
         );
     }
 }

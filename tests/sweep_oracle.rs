@@ -7,25 +7,20 @@ use awesim::batch::{corner_circuit, pdn_design, sweep, BatchEngine, BatchOptions
 use awesim::circuit::pdn::PdnSpec;
 use awesim::sim::{simulate, TransientOptions};
 
-#[test]
-fn worst_corner_delay_matches_trapezoidal_sim() {
-    // The benchmark's oracle mesh (20×20, above the sparse threshold):
-    // the sparse reference simulator checks the sweep at the size the
-    // sweep runs its sparse path. Enough corners for the worst one to be
-    // a genuine extreme draw.
-    let pdn = PdnSpec::square(20);
-    let base = pdn_design("oracle", &pdn);
-    let spec = CornerSpec::new(12, 0.08, 2026);
+/// Sweeps `pdn` over `spec`'s corners and checks every tap's worst
+/// corner against the trapezoidal simulator to 5 %.
+fn check_worst_corners(pdn: &PdnSpec, spec: &CornerSpec) {
+    let base = pdn_design("oracle", pdn);
     let run = sweep(
         &BatchEngine::new(),
         &base,
-        &spec,
+        spec,
         &BatchOptions {
             threads: 1,
             ..BatchOptions::default()
         },
     );
-    assert!(run.rejected.is_empty(), "σ=0.08 should accept all corners");
+    assert!(run.rejected.is_empty(), "every corner should be accepted");
 
     for (node, net) in run.nodes.iter().zip(base.nets()) {
         let corner = node.worst_corner.expect("worst corner attributed");
@@ -33,7 +28,7 @@ fn worst_corner_delay_matches_trapezoidal_sim() {
 
         // Corner purity: rebuild the exact corner circuit from the spec
         // and ask the reference simulator for the same 50% delay.
-        let circuit = corner_circuit(&net.circuit, &spec, corner).expect("accepted corner");
+        let circuit = corner_circuit(&net.circuit, spec, corner).expect("accepted corner");
         // Horizon: several× the worst AWE delay bounds the settling time
         // of the dominant pole comfortably.
         let sim = simulate(&circuit, TransientOptions::new(12.0 * worst)).expect("sim");
@@ -45,4 +40,28 @@ fn worst_corner_delay_matches_trapezoidal_sim() {
             node.node
         );
     }
+}
+
+#[test]
+fn worst_corner_delay_matches_trapezoidal_sim() {
+    // The benchmark's oracle mesh (20×20, above the sparse threshold):
+    // the sparse reference simulator checks the sweep at the size the
+    // sweep runs its sparse path. Enough corners for the worst one to be
+    // a genuine extreme draw.
+    check_worst_corners(&PdnSpec::square(20), &CornerSpec::new(12, 0.08, 2026));
+}
+
+/// The same check at 100×100 (10,401 nodes with its straps), the size
+/// the AWE results are reported at, on one tap. The reference run takes
+/// a few seconds in release, so the test is opt-in:
+/// `cargo test --release --test sweep_oracle -- --ignored`.
+#[test]
+#[ignore = "several seconds in release; run with --release -- --ignored"]
+fn worst_corner_delay_matches_trapezoidal_sim_at_100x100() {
+    let pdn = PdnSpec {
+        strap_pitch: 5,
+        taps: 1,
+        ..PdnSpec::square(100)
+    };
+    check_worst_corners(&pdn, &CornerSpec::new(4, 0.05, 1));
 }
